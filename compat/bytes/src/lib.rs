@@ -30,6 +30,7 @@ impl Bytes {
 
     /// Bytes not yet consumed.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len() - self.pos
     }
@@ -199,10 +200,12 @@ pub trait Buf {
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         assert!(self.has_remaining(), "get_u8 past end of buffer");
         let b = self.data[self.pos];
@@ -242,6 +245,7 @@ pub trait BufMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_u8(&mut self, b: u8) {
         self.data.push(b);
     }

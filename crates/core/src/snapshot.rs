@@ -1,14 +1,20 @@
 //! Crash-consistent snapshots: versioned, checksummed captures of the
 //! optimizer's full mutable state at phase boundaries.
 //!
-//! A [`Snapshot`] is a self-validating byte blob: an ASCII header
-//! `HDSSNAP<version> <crc32> <len>\n` followed by a JSON payload of the
-//! complete run state (memory hierarchy, bursty tracer, image patches,
-//! guard runtime, installed streams, background-analysis in-flight
-//! request, and every report counter). Decoding verifies the magic, the
-//! format version, and a CRC-32 over the body *before* any field is
-//! parsed — a snapshot with even one flipped byte is rejected with a
-//! typed [`SnapshotError`], never silently loaded and never a panic.
+//! A [`Snapshot`] is a self-validating byte blob: the header `HDSSNAP2`
+//! and the payload's CRC-32 as a little-endian `u32`, then a binary
+//! payload of the complete run state (memory hierarchy, bursty tracer,
+//! image patches, guard runtime, installed streams, background-analysis
+//! in-flight request, and every report counter). The payload is a
+//! sequence of LEB128 varints written with `hds_trace::codec`'s
+//! primitives, field by field in a fixed canonical order: sequences
+//! carry their length first, options a 0/1 tag, and flag sets are
+//! packed into one varint. Decoding verifies the magic, the format
+//! version, and the CRC *before* any field is read; it then bounds every
+//! length by the bytes remaining before allocating, range-checks every
+//! narrowed integer, flag set, and discriminant, and rejects trailing
+//! bytes. A snapshot with even one flipped byte is rejected with a typed
+//! [`SnapshotError`], never silently loaded and never a panic.
 //!
 //! The DFSM itself is not serialized: its construction is deterministic
 //! in the installed streams, so resume rebuilds it from the `installed`
@@ -19,20 +25,23 @@
 
 use std::fmt;
 
+use bytes::{Buf, Bytes, BytesMut};
 use hds_bursty::TracerState;
 use hds_guard::{AccuracyState, GuardState, StreamAccuracyState};
-use hds_memsim::{CacheState, LineState, MemState, PrefetchFate, PrefetchResolution};
+use hds_memsim::{CacheState, LineState, MemState, MemStats, PrefetchFate, PrefetchResolution};
+use hds_trace::codec::{get_varint, put_varint, CodecError};
 use hds_trace::{Addr, DataRef, Pc};
 use hds_vulcan::{CopyState, ImageState, ProcId};
-use serde::Value;
 
 use crate::config::{OptimizerConfig, RunMode};
 use crate::report::{CostBreakdown, CycleStats};
 
 /// The current snapshot format version (the digit in the magic).
-const FORMAT_VERSION: u8 = b'1';
+const FORMAT_VERSION: u8 = b'2';
 /// Magic prefix of every snapshot: `HDSSNAP` + version digit.
 const MAGIC: &[u8; 7] = b"HDSSNAP";
+/// Magic, version digit, and the payload's CRC-32.
+const HEADER_LEN: usize = MAGIC.len() + 1 + 4;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -93,17 +102,57 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE), bitwise — no tables, no dependencies.
+// CRC-32 (IEEE), slicing-by-8 over tables built at compile time.
 // ---------------------------------------------------------------------------
 
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// `CRC_TABLES[0]` is the byte-at-a-time table of the reflected IEEE
+/// polynomial; `CRC_TABLES[k]` additionally runs `k` zero bytes through
+/// it, so eight lookups consume eight input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -112,7 +161,8 @@ fn crc32(bytes: &[u8]) -> u32 {
 // Snapshot blob
 // ---------------------------------------------------------------------------
 
-/// A validated snapshot blob: `HDSSNAP<v> <crc32:08x> <len>\n<payload>`.
+/// A validated snapshot blob: `HDSSNAP2`, the payload's CRC-32 (`u32`
+/// little-endian), then the payload.
 ///
 /// Construction goes through [`Snapshot::from_bytes`] (which validates)
 /// or the crate-internal encoder, so a `Snapshot` in hand always has a
@@ -147,8 +197,8 @@ impl Snapshot {
         self.bytes.is_empty()
     }
 
-    /// Validates `bytes` (magic, version, checksum, JSON structure) and
-    /// wraps them as a `Snapshot`.
+    /// Validates `bytes` (magic, version, checksum, and the whole
+    /// payload structure) and wraps them as a `Snapshot`.
     ///
     /// # Errors
     ///
@@ -157,71 +207,40 @@ impl Snapshot {
     /// config is known).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
         let snap = Snapshot { bytes };
-        snap.decode_value()?;
+        snap.decode(None)?;
         Ok(snap)
     }
 
-    /// Encodes a payload value into a headered, checksummed blob.
-    pub(crate) fn encode_value(payload: &Value) -> Snapshot {
-        let json = serde_json::to_string(payload).unwrap_or_else(|_| "null".to_string());
-        let body = format!("{}\n{json}", json.len());
-        let crc = crc32(body.as_bytes());
-        let mut bytes = Vec::with_capacity(body.len() + 18);
-        bytes.extend_from_slice(MAGIC);
-        bytes.push(FORMAT_VERSION);
-        bytes.extend_from_slice(format!(" {crc:08x} ").as_bytes());
-        bytes.extend_from_slice(body.as_bytes());
-        Snapshot { bytes }
-    }
-
-    /// Validates the header and checksum, then parses the JSON payload.
-    pub(crate) fn decode_value(&self) -> Result<Value, SnapshotError> {
+    /// Validates the header and checksum, then decodes the payload. Its
+    /// first field is the config fingerprint, checked against
+    /// `expected_config` (when given) before anything else is read.
+    fn decode(&self, expected_config: Option<u64>) -> Result<SessionState, SnapshotError> {
         let b = &self.bytes;
-        if b.len() < MAGIC.len() || &b[..MAGIC.len()] != MAGIC {
+        if !b.starts_with(MAGIC) {
             return Err(SnapshotError::BadMagic);
         }
-        let version = *b
-            .get(MAGIC.len())
-            .ok_or(SnapshotError::Malformed("truncated header".into()))?;
+        let truncated = || malformed("truncated header");
+        let version = *b.get(MAGIC.len()).ok_or_else(truncated)?;
         if version != FORMAT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        if b.get(8) != Some(&b' ') {
-            return Err(SnapshotError::Malformed("missing crc separator".into()));
-        }
-        let crc_hex = b
-            .get(9..17)
-            .ok_or(SnapshotError::Malformed("truncated crc".into()))?;
-        let crc_hex = std::str::from_utf8(crc_hex)
-            .map_err(|_| SnapshotError::Malformed("crc is not ASCII hex".into()))?;
-        let expected = u32::from_str_radix(crc_hex, 16)
-            .map_err(|_| SnapshotError::Malformed("crc is not ASCII hex".into()))?;
-        if b.get(17) != Some(&b' ') {
-            return Err(SnapshotError::Malformed("missing body separator".into()));
-        }
-        let body = b
-            .get(18..)
-            .ok_or(SnapshotError::Malformed("missing body".into()))?;
-        let found = crc32(body);
+        let crc = b.get(MAGIC.len() + 1..HEADER_LEN).ok_or_else(truncated)?;
+        let expected = u32::from_le_bytes([crc[0], crc[1], crc[2], crc[3]]);
+        let payload = &b[HEADER_LEN..];
+        let found = crc32(payload);
         if found != expected {
             return Err(SnapshotError::ChecksumMismatch { expected, found });
         }
-        let body = std::str::from_utf8(body)
-            .map_err(|_| SnapshotError::Malformed("body is not UTF-8".into()))?;
-        let (len_line, payload) = body
-            .split_once('\n')
-            .ok_or(SnapshotError::Malformed("missing length line".into()))?;
-        let len: usize = len_line
-            .parse()
-            .map_err(|_| SnapshotError::Malformed("bad length line".into()))?;
-        if payload.len() != len {
-            return Err(SnapshotError::Malformed(format!(
-                "payload length {} does not match header {len}",
-                payload.len()
-            )));
+        let mut r = Bytes::copy_from_slice(payload);
+        let found = u64::get(&mut r).map_err(|e| e.within("config"))?;
+        if let Some(expected) = expected_config.filter(|&e| e != found) {
+            return Err(SnapshotError::ConfigMismatch { expected, found });
         }
-        serde_json::parse_value_str(payload)
-            .map_err(|e| SnapshotError::Malformed(format!("payload JSON: {e}")))
+        let state = SessionState::get(&mut r)?;
+        if r.has_remaining() {
+            return Err(malformed(format!("{} trailing bytes", r.remaining())));
+        }
+        Ok(state)
     }
 }
 
@@ -299,569 +318,264 @@ pub(crate) struct SessionState {
     pub online: Option<(u8, Vec<u64>)>,
 }
 
-// --- serialization helpers (hand-built: the vendored serde shim has no
-// --- derive for tuples/enums, and the canonical order must be explicit).
+// ---------------------------------------------------------------------------
+// Payload codec: every value is a run of LEB128 varints.
+// ---------------------------------------------------------------------------
 
-fn u(n: u64) -> Value {
-    Value::U64(n)
-}
-
-fn arr(items: Vec<Value>) -> Value {
-    Value::Arr(items)
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// A value with a binary layout in the snapshot payload. `get` reads
+/// back exactly what `put` wrote and turns anything else into
+/// [`SnapshotError::Malformed`].
+trait Field: Sized {
+    fn put(&self, out: &mut BytesMut);
+    fn get(r: &mut Bytes) -> Result<Self, SnapshotError>;
 }
 
 fn malformed(what: impl Into<String>) -> SnapshotError {
     SnapshotError::Malformed(what.into())
 }
 
-fn as_arr<'a>(v: &'a Value, what: &str) -> Result<&'a [Value], SnapshotError> {
-    match v {
-        Value::Arr(items) => Ok(items),
-        _ => Err(malformed(format!("{what}: expected array"))),
-    }
-}
-
-fn as_u64(v: &Value, what: &str) -> Result<u64, SnapshotError> {
-    match v {
-        Value::U64(n) => Ok(*n),
-        Value::I64(n) if *n >= 0 => Ok(*n as u64),
-        _ => Err(malformed(format!("{what}: expected unsigned integer"))),
-    }
-}
-
-fn as_bool(v: &Value, what: &str) -> Result<bool, SnapshotError> {
-    match v {
-        Value::Bool(b) => Ok(*b),
-        _ => Err(malformed(format!("{what}: expected bool"))),
-    }
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, SnapshotError> {
-    v.get(key)
-        .ok_or_else(|| malformed(format!("missing field {key}")))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, SnapshotError> {
-    as_u64(field(v, key)?, key)
-}
-
-fn usize_field(v: &Value, key: &str) -> Result<usize, SnapshotError> {
-    usize::try_from(u64_field(v, key)?).map_err(|_| malformed(format!("{key}: out of range")))
-}
-
-fn u64s(v: &Value, what: &str) -> Result<Vec<u64>, SnapshotError> {
-    as_arr(v, what)?.iter().map(|x| as_u64(x, what)).collect()
-}
-
-fn fixed<const N: usize>(v: &Value, what: &str) -> Result<[u64; N], SnapshotError> {
-    let items = u64s(v, what)?;
-    <[u64; N]>::try_from(items).map_err(|_| malformed(format!("{what}: expected {N} elements")))
-}
-
-fn breakdown_to_value(b: &CostBreakdown) -> Value {
-    arr(vec![
-        u(b.work),
-        u(b.memory),
-        u(b.checks),
-        u(b.recording),
-        u(b.analysis),
-        u(b.matching),
-        u(b.prefetch),
-        u(b.optimize),
-    ])
-}
-
-fn breakdown_from_value(v: &Value) -> Result<CostBreakdown, SnapshotError> {
-    let [work, memory, checks, recording, analysis, matching, prefetch, optimize] =
-        fixed::<8>(v, "breakdown")?;
-    Ok(CostBreakdown {
-        work,
-        memory,
-        checks,
-        recording,
-        analysis,
-        matching,
-        prefetch,
-        optimize,
-    })
-}
-
-fn cycle_stats_to_value(c: &CycleStats) -> Value {
-    arr(vec![
-        u(c.traced_refs),
-        u(c.hot_streams as u64),
-        u(c.streams_used as u64),
-        u(c.dfsm_states as u64),
-        u(c.dfsm_checks as u64),
-        u(c.procs_modified as u64),
-        u(c.grammar_size as u64),
-    ])
-}
-
-fn cycle_stats_from_value(v: &Value) -> Result<CycleStats, SnapshotError> {
-    let [traced_refs, hot, used, states, checks, procs, grammar] = fixed::<7>(v, "cycle_stats")?;
-    Ok(CycleStats {
-        traced_refs,
-        hot_streams: hot as usize,
-        streams_used: used as usize,
-        dfsm_states: states as usize,
-        dfsm_checks: checks as usize,
-        procs_modified: procs as usize,
-        grammar_size: grammar as usize,
-    })
-}
-
-fn stats_to_value(s: &hds_memsim::MemStats) -> Value {
-    arr(vec![
-        u(s.l1_hits),
-        u(s.l1_hits_on_prefetched),
-        u(s.l1_misses),
-        u(s.l2_hits),
-        u(s.l2_misses),
-        u(s.prefetches_issued),
-        u(s.prefetches_useful),
-        u(s.prefetches_late),
-        u(s.prefetches_polluting),
-        u(s.writebacks),
-        u(s.demand_cycles),
-    ])
-}
-
-fn stats_from_value(v: &Value) -> Result<hds_memsim::MemStats, SnapshotError> {
-    let [h, hp, m, h2, m2, pi, pu, pl, pp, wb, dc] = fixed::<11>(v, "mem.stats")?;
-    Ok(hds_memsim::MemStats {
-        l1_hits: h,
-        l1_hits_on_prefetched: hp,
-        l1_misses: m,
-        l2_hits: h2,
-        l2_misses: m2,
-        prefetches_issued: pi,
-        prefetches_useful: pu,
-        prefetches_late: pl,
-        prefetches_polluting: pp,
-        writebacks: wb,
-        demand_cycles: dc,
-    })
-}
-
-fn cache_to_value(c: &CacheState) -> Value {
-    obj(vec![
-        ("tick", u(c.tick)),
-        (
-            "sets",
-            arr(c
-                .sets
-                .iter()
-                .map(|set| {
-                    arr(set
-                        .iter()
-                        .map(|l| {
-                            arr(vec![
-                                u(l.block),
-                                u(l.lru),
-                                u(u64::from(l.prefetched_unused)),
-                                u(u64::from(l.origin_prefetched)),
-                                u(u64::from(l.dirty)),
-                            ])
-                        })
-                        .collect())
-                })
-                .collect()),
-        ),
-    ])
-}
-
-fn cache_from_value(v: &Value) -> Result<CacheState, SnapshotError> {
-    let tick = u64_field(v, "tick")?;
-    let mut sets = Vec::new();
-    for set in as_arr(field(v, "sets")?, "cache.sets")? {
-        let mut lines = Vec::new();
-        for line in as_arr(set, "cache.set")? {
-            let [block, lru, pu, op, dirty] = fixed::<5>(line, "cache.line")?;
-            lines.push(LineState {
-                block,
-                lru,
-                prefetched_unused: pu != 0,
-                origin_prefetched: op != 0,
-                dirty: dirty != 0,
-            });
+impl SnapshotError {
+    /// Prefixes a `Malformed` message with the field it surfaced in, so
+    /// the message names its path (`mem.l1.sets: truncated`).
+    fn within(self, field: &str) -> SnapshotError {
+        match self {
+            SnapshotError::Malformed(m) if m.contains(": ") => malformed(format!("{field}.{m}")),
+            SnapshotError::Malformed(m) => malformed(format!("{field}: {m}")),
+            e => e,
         }
-        sets.push(lines);
     }
-    Ok(CacheState { tick, sets })
 }
 
-fn mem_to_value(m: &MemState) -> Value {
-    obj(vec![
-        ("l1", cache_to_value(&m.l1)),
-        ("l2", cache_to_value(&m.l2)),
-        (
-            "in_flight",
-            arr(m
-                .in_flight
-                .iter()
-                .map(|&(b, t)| arr(vec![u(b), u(t)]))
-                .collect()),
-        ),
-        (
-            "pending",
-            arr(m
-                .pending
-                .iter()
-                .map(|&(b, tag, t)| arr(vec![u(b), u(u64::from(tag)), u(t)]))
-                .collect()),
-        ),
-        (
-            "outcomes",
-            arr(m
-                .outcomes
-                .iter()
-                .map(|o| {
-                    let fate = match o.fate {
-                        PrefetchFate::Useful => 0,
-                        PrefetchFate::Late => 1,
-                        PrefetchFate::Polluted => 2,
-                    };
-                    arr(vec![
-                        u(u64::from(o.tag)),
-                        u(o.block),
-                        u(fate),
-                        u(o.issued_at),
-                        u(o.resolved_at),
-                    ])
-                })
-                .collect()),
-        ),
-        ("stats", stats_to_value(&m.stats)),
-    ])
-}
-
-fn mem_from_value(v: &Value) -> Result<MemState, SnapshotError> {
-    let l1 = cache_from_value(field(v, "l1")?)?;
-    let l2 = cache_from_value(field(v, "l2")?)?;
-    let mut in_flight = Vec::new();
-    for e in as_arr(field(v, "in_flight")?, "mem.in_flight")? {
-        let [b, t] = fixed::<2>(e, "mem.in_flight")?;
-        in_flight.push((b, t));
+impl Field for u64 {
+    fn put(&self, out: &mut BytesMut) {
+        put_varint(out, *self);
     }
-    let mut pending = Vec::new();
-    for e in as_arr(field(v, "pending")?, "mem.pending")? {
-        let [b, tag, t] = fixed::<3>(e, "mem.pending")?;
-        let tag = u32::try_from(tag).map_err(|_| malformed("mem.pending: tag out of range"))?;
-        pending.push((b, tag, t));
+    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+        get_varint(r).map_err(|e| {
+            malformed(match e {
+                CodecError::Overlong => "overlong varint",
+                _ => "truncated",
+            })
+        })
     }
-    let mut outcomes = Vec::new();
-    for e in as_arr(field(v, "outcomes")?, "mem.outcomes")? {
-        let [tag, block, fate, issued_at, resolved_at] = fixed::<5>(e, "mem.outcomes")?;
-        let fate = match fate {
-            0 => PrefetchFate::Useful,
-            1 => PrefetchFate::Late,
-            2 => PrefetchFate::Polluted,
-            _ => return Err(malformed("mem.outcomes: bad fate discriminant")),
-        };
-        outcomes.push(PrefetchResolution {
-            tag: u32::try_from(tag).map_err(|_| malformed("mem.outcomes: tag out of range"))?,
-            block,
-            fate,
-            issued_at,
-            resolved_at,
-        });
-    }
-    let stats = stats_from_value(field(v, "stats")?)?;
-    Ok(MemState {
-        l1,
-        l2,
-        in_flight,
-        pending,
-        outcomes,
-        stats,
-    })
 }
 
-fn tracer_to_value(t: &TracerState) -> Value {
-    arr(vec![
-        u(t.n_check_cur),
-        u(t.n_instr_cur),
-        u(t.n_check),
-        u(t.n_instr),
-        u(t.instrumented),
-        u(t.hibernating),
-        u(t.periods_in_phase),
-        u(t.total_checks),
-        u(t.total_bursts),
-        u(t.awake_checks),
-        u(t.phase_transitions),
-    ])
-}
-
-fn tracer_from_value(v: &Value) -> Result<TracerState, SnapshotError> {
-    let [ncc, nic, nc, ni, ins, hib, pip, tc, tb, ac, pt] = fixed::<11>(v, "tracer")?;
-    Ok(TracerState {
-        n_check_cur: ncc,
-        n_instr_cur: nic,
-        n_check: nc,
-        n_instr: ni,
-        instrumented: ins,
-        hibernating: hib,
-        periods_in_phase: pip,
-        total_checks: tc,
-        total_bursts: tb,
-        awake_checks: ac,
-        phase_transitions: pt,
-    })
-}
-
-fn image_to_value(i: &ImageState<usize>) -> Value {
-    obj(vec![
-        ("epoch", u(i.epoch)),
-        ("total_edits", u(i.total_edits)),
-        ("total_deopts", u(i.total_deopts)),
-        (
-            "copies",
-            arr(i
-                .copies
-                .iter()
-                .map(|c| {
-                    obj(vec![
-                        ("proc", u(u64::from(c.proc.0))),
-                        ("since_epoch", u(c.since_epoch)),
-                        (
-                            "checks",
-                            arr(c
-                                .checks
-                                .iter()
-                                .map(|&(pc, len)| arr(vec![u(u64::from(pc.0)), u(len as u64)]))
-                                .collect()),
-                        ),
-                    ])
-                })
-                .collect()),
-        ),
-    ])
-}
-
-fn image_from_value(v: &Value) -> Result<ImageState<usize>, SnapshotError> {
-    let mut copies = Vec::new();
-    for c in as_arr(field(v, "copies")?, "image.copies")? {
-        let proc_raw = u64_field(c, "proc")?;
-        let proc = ProcId(
-            u32::try_from(proc_raw).map_err(|_| malformed("image.copies: proc out of range"))?,
-        );
-        let since_epoch = u64_field(c, "since_epoch")?;
-        let mut checks = Vec::new();
-        for e in as_arr(field(c, "checks")?, "image.checks")? {
-            let [pc, len] = fixed::<2>(e, "image.checks")?;
-            let pc = Pc(u32::try_from(pc).map_err(|_| malformed("image.checks: pc out of range"))?);
-            let len =
-                usize::try_from(len).map_err(|_| malformed("image.checks: len out of range"))?;
-            checks.push((pc, len));
-        }
-        copies.push(CopyState {
-            proc,
-            since_epoch,
-            checks,
-        });
-    }
-    Ok(ImageState {
-        epoch: u64_field(v, "epoch")?,
-        total_edits: u64_field(v, "total_edits")?,
-        total_deopts: u64_field(v, "total_deopts")?,
-        copies,
-    })
-}
-
-fn refs_to_value(refs: &[DataRef]) -> Value {
-    arr(refs
-        .iter()
-        .map(|r| arr(vec![u(u64::from(r.pc.0)), u(r.addr.0)]))
-        .collect())
-}
-
-fn refs_from_value(v: &Value, what: &str) -> Result<Vec<DataRef>, SnapshotError> {
-    let mut out = Vec::new();
-    for e in as_arr(v, what)? {
-        let [pc, addr] = fixed::<2>(e, what)?;
-        let pc = Pc(u32::try_from(pc).map_err(|_| malformed(format!("{what}: pc out of range")))?);
-        out.push(DataRef::new(pc, Addr(addr)));
-    }
-    Ok(out)
-}
-
-fn guard_to_value(g: &GuardState) -> Value {
-    obj(vec![
-        (
-            "tripped",
-            arr(g.tripped.iter().map(|&b| Value::Bool(b)).collect()),
-        ),
-        ("trips", arr(g.trips.iter().map(|&t| u(t)).collect())),
-        (
-            "accuracy",
-            match &g.accuracy {
-                None => Value::Null,
-                Some(a) => obj(vec![
-                    (
-                        "streams",
-                        arr(a
-                            .streams
-                            .iter()
-                            .map(|s| {
-                                arr(vec![
-                                    u(u64::from(s.stream_id)),
-                                    u(s.hash),
-                                    u(s.useful),
-                                    u(s.late),
-                                    u(s.polluted),
-                                    u(u64::from(s.streak)),
-                                ])
-                            })
-                            .collect()),
-                    ),
-                    ("denylist", arr(a.denylist.iter().map(|&h| u(h)).collect())),
-                ]),
-            },
-        ),
-    ])
-}
-
-fn guard_from_value(v: &Value) -> Result<GuardState, SnapshotError> {
-    let tripped_vals = as_arr(field(v, "tripped")?, "guard.tripped")?;
-    if tripped_vals.len() != 5 {
-        return Err(malformed("guard.tripped: expected 5 elements"));
-    }
-    let mut tripped = [false; 5];
-    for (slot, val) in tripped.iter_mut().zip(tripped_vals) {
-        *slot = as_bool(val, "guard.tripped")?;
-    }
-    let trips = fixed::<5>(field(v, "trips")?, "guard.trips")?;
-    let accuracy = match field(v, "accuracy")? {
-        Value::Null => None,
-        a => {
-            let mut streams = Vec::new();
-            for s in as_arr(field(a, "streams")?, "guard.accuracy.streams")? {
-                let [id, hash, useful, late, polluted, streak] =
-                    fixed::<6>(s, "guard.accuracy.streams")?;
-                streams.push(StreamAccuracyState {
-                    stream_id: u32::try_from(id)
-                        .map_err(|_| malformed("guard.accuracy: id out of range"))?,
-                    hash,
-                    useful,
-                    late,
-                    polluted,
-                    streak: u32::try_from(streak)
-                        .map_err(|_| malformed("guard.accuracy: streak out of range"))?,
-                });
+/// Narrower integers travel as `u64` varints, range-checked on the way
+/// back.
+macro_rules! narrow_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn put(&self, out: &mut BytesMut) {
+                put_varint(out, *self as u64);
             }
-            let denylist = u64s(field(a, "denylist")?, "guard.accuracy.denylist")?;
-            Some(AccuracyState { streams, denylist })
+            fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+                let v = u64::get(r)?;
+                Self::try_from(v).map_err(|_| malformed(format!("{v} out of range")))
+            }
         }
-    };
-    Ok(GuardState {
-        tripped,
-        trips,
-        accuracy,
-    })
+    )*};
+}
+narrow_field!(u8, u32, usize);
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, out: &mut BytesMut) {
+        self.len().put(out);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+        let n = usize::get(r)?;
+        // Every element takes at least one byte, so a length the rest of
+        // the payload cannot hold is refused before it is allocated.
+        if n > r.remaining() {
+            return Err(malformed(format!(
+                "length {n} exceeds {} remaining bytes",
+                r.remaining()
+            )));
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn put(&self, out: &mut BytesMut) {
+        match self {
+            None => put_varint(out, 0),
+            Some(v) => {
+                put_varint(out, 1);
+                v.put(out);
+            }
+        }
+    }
+    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+        match u64::get(r)? {
+            0 => Ok(None),
+            1 => T::get(r).map(Some),
+            tag => Err(malformed(format!("bad option tag {tag}"))),
+        }
+    }
+}
+
+impl<A: Field, B: Field> Field for (A, B) {
+    fn put(&self, out: &mut BytesMut) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
+    fn put(&self, out: &mut BytesMut) {
+        self.0.put(out);
+        self.1.put(out);
+        self.2.put(out);
+    }
+    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+impl<const N: usize> Field for [u64; N] {
+    fn put(&self, out: &mut BytesMut) {
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+        let mut a = [0; N];
+        for v in &mut a {
+            *v = u64::get(r)?;
+        }
+        Ok(a)
+    }
+}
+
+/// A flag set is one varint, bit `i` holding flag `i`; bits past `N`
+/// are rejected.
+impl<const N: usize> Field for [bool; N] {
+    fn put(&self, out: &mut BytesMut) {
+        let bits = (0..N).fold(0u64, |bits, i| bits | (u64::from(self[i]) << i));
+        put_varint(out, bits);
+    }
+    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+        let bits = u64::get(r)?;
+        if bits >> N != 0 {
+            return Err(malformed(format!("flags {bits:#b} out of range")));
+        }
+        Ok(std::array::from_fn(|i| (bits >> i) & 1 == 1))
+    }
+}
+
+impl Field for LineState {
+    fn put(&self, out: &mut BytesMut) {
+        self.block.put(out);
+        self.lru.put(out);
+        [self.prefetched_unused, self.origin_prefetched, self.dirty].put(out);
+    }
+    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+        let (block, lru) = Field::get(r)?;
+        let [prefetched_unused, origin_prefetched, dirty] = Field::get(r)?;
+        Ok(LineState {
+            block,
+            lru,
+            prefetched_unused,
+            origin_prefetched,
+            dirty,
+        })
+    }
+}
+
+impl Field for PrefetchFate {
+    fn put(&self, out: &mut BytesMut) {
+        let d = match self {
+            PrefetchFate::Useful => 0,
+            PrefetchFate::Late => 1,
+            PrefetchFate::Polluted => 2,
+        };
+        put_varint(out, d);
+    }
+    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+        match u64::get(r)? {
+            0 => Ok(PrefetchFate::Useful),
+            1 => Ok(PrefetchFate::Late),
+            2 => Ok(PrefetchFate::Polluted),
+            d => Err(malformed(format!("bad fate discriminant {d}"))),
+        }
+    }
+}
+
+/// Implements [`Field`] for structs as their listed fields in order
+/// (tuple structs list `0`). Each list is the canonical payload order;
+/// a decoding error is prefixed with the field it came from.
+macro_rules! record {
+    ($($ty:ty { $($f:tt),* })*) => {$(
+        impl Field for $ty {
+            fn put(&self, out: &mut BytesMut) {
+                $(self.$f.put(out);)*
+            }
+            fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+                Ok(Self {
+                    $($f: Field::get(r).map_err(|e: SnapshotError| e.within(stringify!($f)))?,)*
+                })
+            }
+        }
+    )*};
+}
+
+record! {
+    Pc { 0 }
+    Addr { 0 }
+    ProcId { 0 }
+    DataRef { pc, addr }
+    CostBreakdown { work, memory, checks, recording, analysis, matching, prefetch, optimize }
+    CycleStats {
+        traced_refs, hot_streams, streams_used, dfsm_states, dfsm_checks, procs_modified,
+        grammar_size
+    }
+    MemStats {
+        l1_hits, l1_hits_on_prefetched, l1_misses, l2_hits, l2_misses, prefetches_issued,
+        prefetches_useful, prefetches_late, prefetches_polluting, writebacks, demand_cycles
+    }
+    CacheState { tick, sets }
+    PrefetchResolution { tag, block, fate, issued_at, resolved_at }
+    MemState { l1, l2, in_flight, pending, outcomes, stats }
+    TracerState {
+        n_check_cur, n_instr_cur, n_check, n_instr, instrumented, hibernating, periods_in_phase,
+        total_checks, total_bursts, awake_checks, phase_transitions
+    }
+    CopyState<usize> { proc, since_epoch, checks }
+    ImageState<usize> { epoch, total_edits, total_deopts, copies }
+    StreamAccuracyState { stream_id, hash, useful, late, polluted, streak }
+    AccuracyState { streams, denylist }
+    GuardState { tripped, trips, accuracy }
+    PendingState { handoff_at, ready_at, refs, denylist }
+    BgState { handoffs, applied, starved, pending }
+    SessionState {
+        cycles, breakdown, mem, tracer, image, dfsm_state, dfsm_rebuild, frames, active_thread,
+        refs, checks, cycle_stats, pf_queue, guard, installed, partial_deopts, bg,
+        events_consumed, snapshots, fault_state, online
+    }
 }
 
 impl SessionState {
     /// Serializes the state under the given config fingerprint.
     pub(crate) fn to_snapshot(&self, config_hash: u64) -> Snapshot {
-        let bg = match &self.bg {
-            None => Value::Null,
-            Some(b) => obj(vec![
-                ("handoffs", u(b.handoffs)),
-                ("applied", u(b.applied)),
-                ("starved", u(b.starved)),
-                (
-                    "pending",
-                    match &b.pending {
-                        None => Value::Null,
-                        Some(p) => obj(vec![
-                            ("handoff_at", u(p.handoff_at)),
-                            ("ready_at", u(p.ready_at)),
-                            ("refs", refs_to_value(&p.refs)),
-                            ("denylist", arr(p.denylist.iter().map(|&h| u(h)).collect())),
-                        ]),
-                    },
-                ),
-            ]),
-        };
-        let payload = obj(vec![
-            ("config", u(config_hash)),
-            ("cycles", u(self.cycles)),
-            ("breakdown", breakdown_to_value(&self.breakdown)),
-            ("mem", mem_to_value(&self.mem)),
-            ("tracer", tracer_to_value(&self.tracer)),
-            ("image", image_to_value(&self.image)),
-            ("dfsm_state", u(u64::from(self.dfsm_state))),
-            ("dfsm_rebuild", u(u64::from(self.dfsm_rebuild))),
-            (
-                "frames",
-                arr(self
-                    .frames
-                    .iter()
-                    .map(|(stack, max_depth)| {
-                        obj(vec![
-                            (
-                                "stack",
-                                arr(stack
-                                    .iter()
-                                    .map(|&(p, e)| arr(vec![u(u64::from(p)), u(e)]))
-                                    .collect()),
-                            ),
-                            ("max_depth", u(*max_depth as u64)),
-                        ])
-                    })
-                    .collect()),
-            ),
-            ("active_thread", u(self.active_thread as u64)),
-            ("refs", u(self.refs)),
-            ("checks", u(self.checks)),
-            (
-                "cycle_stats",
-                arr(self.cycle_stats.iter().map(cycle_stats_to_value).collect()),
-            ),
-            (
-                "pf_queue",
-                arr(self
-                    .pf_queue
-                    .iter()
-                    .map(|&(a, t)| arr(vec![u(a), u(u64::from(t))]))
-                    .collect()),
-            ),
-            (
-                "guard",
-                self.guard.as_ref().map_or(Value::Null, guard_to_value),
-            ),
-            (
-                "installed",
-                arr(self.installed.iter().map(|s| refs_to_value(s)).collect()),
-            ),
-            ("partial_deopts", u(self.partial_deopts)),
-            ("bg", bg),
-            ("events_consumed", u(self.events_consumed)),
-            ("snapshots", u(self.snapshots)),
-            ("fault_state", u(self.fault_state)),
-            (
-                "online",
-                match &self.online {
-                    None => Value::Null,
-                    Some((kind, words)) => obj(vec![
-                        ("kind", u(u64::from(*kind))),
-                        ("words", arr(words.iter().map(|&w| u(w)).collect())),
-                    ]),
-                },
-            ),
-        ]);
-        Snapshot::encode_value(&payload)
+        let mut payload = BytesMut::new();
+        config_hash.put(&mut payload);
+        self.put(&mut payload);
+        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
+        bytes.extend_from_slice(MAGIC);
+        bytes.push(FORMAT_VERSION);
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        Snapshot { bytes }
     }
 
     /// Decodes and validates a snapshot against the resuming session's
@@ -870,96 +584,7 @@ impl SessionState {
         snap: &Snapshot,
         expected_config: u64,
     ) -> Result<SessionState, SnapshotError> {
-        let v = snap.decode_value()?;
-        let found = u64_field(&v, "config")?;
-        if found != expected_config {
-            return Err(SnapshotError::ConfigMismatch {
-                expected: expected_config,
-                found,
-            });
-        }
-        let mut frames = Vec::new();
-        for f in as_arr(field(&v, "frames")?, "frames")? {
-            let mut stack = Vec::new();
-            for e in as_arr(field(f, "stack")?, "frames.stack")? {
-                let [p, epoch] = fixed::<2>(e, "frames.stack")?;
-                let p =
-                    u32::try_from(p).map_err(|_| malformed("frames.stack: proc out of range"))?;
-                stack.push((p, epoch));
-            }
-            frames.push((stack, usize_field(f, "max_depth")?));
-        }
-        let mut cycle_stats = Vec::new();
-        for c in as_arr(field(&v, "cycle_stats")?, "cycle_stats")? {
-            cycle_stats.push(cycle_stats_from_value(c)?);
-        }
-        let mut pf_queue = Vec::new();
-        for e in as_arr(field(&v, "pf_queue")?, "pf_queue")? {
-            let [a, t] = fixed::<2>(e, "pf_queue")?;
-            let t = u32::try_from(t).map_err(|_| malformed("pf_queue: tag out of range"))?;
-            pf_queue.push((a, t));
-        }
-        let guard = match field(&v, "guard")? {
-            Value::Null => None,
-            g => Some(guard_from_value(g)?),
-        };
-        let mut installed = Vec::new();
-        for s in as_arr(field(&v, "installed")?, "installed")? {
-            installed.push(refs_from_value(s, "installed")?);
-        }
-        let bg = match field(&v, "bg")? {
-            Value::Null => None,
-            b => Some(BgState {
-                handoffs: u64_field(b, "handoffs")?,
-                applied: u64_field(b, "applied")?,
-                starved: u64_field(b, "starved")?,
-                pending: match field(b, "pending")? {
-                    Value::Null => None,
-                    p => Some(PendingState {
-                        handoff_at: u64_field(p, "handoff_at")?,
-                        ready_at: u64_field(p, "ready_at")?,
-                        refs: refs_from_value(field(p, "refs")?, "bg.pending.refs")?,
-                        denylist: u64s(field(p, "denylist")?, "bg.pending.denylist")?,
-                    }),
-                },
-            }),
-        };
-        let online = match v.get("online") {
-            None | Some(Value::Null) => None,
-            Some(o) => {
-                let kind = u8::try_from(u64_field(o, "kind")?)
-                    .map_err(|_| malformed("online.kind: out of range"))?;
-                let words = u64s(field(o, "words")?, "online.words")?;
-                Some((kind, words))
-            }
-        };
-        let dfsm_state = u32::try_from(u64_field(&v, "dfsm_state")?)
-            .map_err(|_| malformed("dfsm_state: out of range"))?;
-        let dfsm_rebuild = u8::try_from(u64_field(&v, "dfsm_rebuild")?)
-            .map_err(|_| malformed("dfsm_rebuild: out of range"))?;
-        Ok(SessionState {
-            cycles: u64_field(&v, "cycles")?,
-            breakdown: breakdown_from_value(field(&v, "breakdown")?)?,
-            mem: mem_from_value(field(&v, "mem")?)?,
-            tracer: tracer_from_value(field(&v, "tracer")?)?,
-            image: image_from_value(field(&v, "image")?)?,
-            dfsm_state,
-            dfsm_rebuild,
-            frames,
-            active_thread: usize_field(&v, "active_thread")?,
-            refs: u64_field(&v, "refs")?,
-            checks: u64_field(&v, "checks")?,
-            cycle_stats,
-            pf_queue,
-            guard,
-            installed,
-            partial_deopts: u64_field(&v, "partial_deopts")?,
-            bg,
-            events_consumed: u64_field(&v, "events_consumed")?,
-            snapshots: u64_field(&v, "snapshots")?,
-            fault_state: u64_field(&v, "fault_state")?,
-            online,
-        })
+        snap.decode(Some(expected_config))
     }
 }
 
@@ -1089,6 +714,7 @@ mod tests {
         let snap = state.to_snapshot(42);
         let back = SessionState::from_snapshot(&snap, 42).unwrap();
         assert_eq!(back, state);
+        assert_eq!(back.to_snapshot(42), snap, "re-encoding changed the bytes");
     }
 
     #[test]
@@ -1129,13 +755,19 @@ mod tests {
             Snapshot::from_bytes(bytes),
             Err(SnapshotError::UnsupportedVersion(b'9'))
         );
+        // A retired v1 blob (ASCII header over JSON) is refused by version,
+        // before its body is looked at.
+        assert_eq!(
+            Snapshot::from_bytes(b"HDSSNAP1 00000000 2\n{}".to_vec()),
+            Err(SnapshotError::UnsupportedVersion(b'1'))
+        );
     }
 
     #[test]
     fn payload_corruption_is_a_checksum_mismatch() {
         let snap = sample_state().to_snapshot(7);
         let bytes = snap.as_bytes();
-        for pos in [18, bytes.len() / 2, bytes.len() - 1] {
+        for pos in [HEADER_LEN, bytes.len() / 2, bytes.len() - 1] {
             let mut corrupt = bytes.to_vec();
             corrupt[pos] ^= 0x01;
             match Snapshot::from_bytes(corrupt) {
@@ -1149,6 +781,150 @@ mod tests {
     fn crc32_matches_known_vector() {
         // The standard IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_tables_match_the_bitwise_definition() {
+        fn bitwise(bytes: &[u8]) -> u32 {
+            let mut crc: u32 = 0xFFFF_FFFF;
+            for &b in bytes {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                }
+            }
+            !crc
+        }
+        let data: Vec<u8> = (0u32..300).map(|i| (i * 167 + 13) as u8).collect();
+        for len in 0..data.len() {
+            assert_eq!(crc32(&data[..len]), bitwise(&data[..len]), "length {len}");
+        }
+    }
+
+    /// `payload` behind a valid `HDSSNAP2` header with a matching CRC.
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = b"HDSSNAP2".to_vec();
+        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn captured_snapshot_reencodes_byte_identically() {
+        use hds_vulcan::ProgramSource;
+        use hds_workloads::{SyntheticConfig, SyntheticWorkload, Workload};
+
+        let mut config = OptimizerConfig::test_scale();
+        config.concurrency = crate::AnalysisConcurrency::Background;
+        config.guard =
+            hds_guard::GuardConfig::default().with_accuracy(hds_guard::AccuracyConfig::new());
+        let policy = crate::PrefetchPolicy::StreamTail;
+        let mut w = SyntheticWorkload::new(SyntheticConfig {
+            total_refs: 40_000,
+            ..SyntheticConfig::default()
+        });
+        let mut session = crate::SessionBuilder::new(config.clone())
+            .procedures(w.procedures())
+            .checkpoints()
+            .optimize(policy)
+            .build();
+        while let Some(e) = w.next_event() {
+            session.on_event(e);
+        }
+        let snap = session
+            .latest_snapshot()
+            .expect("a phase boundary was captured");
+        let fingerprint = config_fingerprint(&config, RunMode::Optimize(policy));
+        let state = SessionState::from_snapshot(snap, fingerprint).unwrap();
+        assert!(state.guard.is_some() && state.bg.is_some());
+        assert_eq!(state.to_snapshot(fingerprint).as_bytes(), snap.as_bytes());
+    }
+
+    /// Checksummed payloads that break the layout are `Malformed` and
+    /// name the field path: trailing bytes, lengths the rest of the
+    /// payload cannot hold (refused before allocating), and out-of-range
+    /// flags, discriminants and narrowed integers.
+    #[test]
+    fn malformed_payloads_name_the_offending_field() {
+        let s = sample_state();
+        // The config fingerprint, `cycles` and `breakdown`, then `tail`.
+        let payload = |tail: &dyn Fn(&mut BytesMut)| {
+            let mut p = BytesMut::new();
+            42u64.put(&mut p);
+            s.cycles.put(&mut p);
+            s.breakdown.put(&mut p);
+            tail(&mut p);
+            sealed(&p)
+        };
+        let varints = |p: &mut BytesMut, vs: &[u64]| vs.iter().for_each(|&v| put_varint(p, v));
+        let mut cases = vec![(
+            payload(&|p| {
+                s.mem.put(p);
+                s.tracer.put(p);
+                s.image.put(p);
+                varints(p, &[u64::from(u32::MAX) + 1]);
+            }),
+            "dfsm_state: 4294967296 out of range".to_string(),
+        )];
+        let mut trailing = s.to_snapshot(42).into_bytes()[HEADER_LEN..].to_vec();
+        trailing.push(0);
+        cases.push((sealed(&trailing), "1 trailing bytes".into()));
+        // `mem.l1.tick`, then a set count no payload could hold.
+        for forged in [100, 1 << 40, u64::MAX] {
+            cases.push((
+                payload(&|p| varints(p, &[9, forged])),
+                format!("mem.l1.sets: length {forged} exceeds 0 remaining bytes"),
+            ));
+        }
+        // One L1 line (block 4, lru 2) whose flag set has a fourth bit.
+        cases.push((
+            payload(&|p| varints(p, &[9, 1, 1, 4, 2, 0b1000])),
+            "mem.l1.sets: flags 0b1000 out of range".into(),
+        ));
+        // One prefetch outcome (tag 1, block 3) with an unknown fate.
+        cases.push((
+            payload(&|p| {
+                s.mem.l1.put(p);
+                s.mem.l2.put(p);
+                s.mem.in_flight.put(p);
+                s.mem.pending.put(p);
+                varints(p, &[1, 1, 3, 7]);
+            }),
+            "mem.outcomes.fate: bad fate discriminant 7".into(),
+        ));
+        for (bytes, want) in cases {
+            assert_eq!(
+                Snapshot::from_bytes(bytes),
+                Err(SnapshotError::Malformed(want))
+            );
+        }
+    }
+
+    proptest::proptest! {
+        /// Arbitrary bytes, bare or behind the v2 magic, are a typed
+        /// error and never a panic.
+        #[test]
+        fn arbitrary_bytes_are_rejected_typed(
+            tail in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..512),
+            magic in proptest::bool::ANY,
+        ) {
+            let mut bytes = if magic { b"HDSSNAP2".to_vec() } else { Vec::new() };
+            bytes.extend_from_slice(&tail);
+            proptest::prop_assert!(Snapshot::from_bytes(bytes).is_err());
+        }
+
+        /// A valid header and CRC over an arbitrary payload reach the
+        /// field decoder, which refuses them as `Malformed`.
+        #[test]
+        fn checksummed_garbage_is_malformed(
+            payload in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..2048),
+        ) {
+            let is_malformed = matches!(
+                Snapshot::from_bytes(sealed(&payload)),
+                Err(SnapshotError::Malformed(_))
+            );
+            proptest::prop_assert!(is_malformed);
+        }
     }
 
     #[test]

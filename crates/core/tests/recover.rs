@@ -132,6 +132,10 @@ fn checkpointing_is_timing_neutral() {
     assert_eq!(plain, with_ck, "checkpointing perturbed the simulation");
 }
 
+/// Length of the snapshot header: `HDSSNAP2` plus the payload's
+/// CRC-32.
+const HEADER_LEN: usize = 12;
+
 fn snapshot_fixture() -> &'static Snapshot {
     use std::sync::OnceLock;
     static SNAP: OnceLock<Snapshot> = OnceLock::new();
@@ -146,8 +150,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Flipping any bit of any byte must yield a typed error — never a
-    /// panic, never a silent load. Payload bytes (offset >= 18)
-    /// specifically fail the checksum.
+    /// panic, never a silent load. Payload bytes (offset >=
+    /// `HEADER_LEN`) specifically fail the checksum.
     #[test]
     fn corrupting_one_byte_is_rejected_typed(pos in any::<u64>(), mask in 1u8..=255) {
         let snap = snapshot_fixture();
@@ -171,13 +175,13 @@ proptest! {
             ) => {
                 // Header corruption: typed rejection before the body is
                 // even checksummed.
-                prop_assert!(pos < 18, "payload corruption at {} must be ChecksumMismatch", pos);
+                prop_assert!(pos < HEADER_LEN, "payload corruption at {} must be ChecksumMismatch", pos);
             }
             Err(e @ SnapshotError::ConfigMismatch { .. }) => {
                 return Err(TestCaseError::fail(format!("unexpected error: {e}")));
             }
         }
-        if pos >= 18 {
+        if pos >= HEADER_LEN {
             let mut bytes = snap.as_bytes().to_vec();
             bytes[pos] ^= mask;
             let is_checksum = matches!(

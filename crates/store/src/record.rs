@@ -6,10 +6,11 @@
 //! payload length u32 LE | FNV-1a-64 of payload u64 LE | payload
 //! ```
 //!
-//! reusing the `HDSSNAP1`/FNV discipline: the per-byte FNV-1a step is
-//! invertible, so any single flipped byte of the payload is
-//! *guaranteed* to change the checksum, and longer damage escapes only
-//! with probability ~2⁻⁶⁴ (proptested in [`crate::store`]'s tests).
+//! checked before anything is parsed, as `HDSSNAP2` snapshots and `HDSW`
+//! frames are. The per-byte FNV-1a step is invertible, so any single
+//! flipped byte of the payload is *guaranteed* to change the checksum,
+//! and longer damage escapes only with probability ~2⁻⁶⁴ (proptested in
+//! [`crate::store`]'s tests).
 //! Decoding is total — a damaged, truncated, or torn record is a typed
 //! [`RecordError`], never a panic — and a clean end-of-buffer is
 //! distinguished from a torn tail so segment scans know where the
@@ -18,7 +19,7 @@
 //! The payload carries one of:
 //!
 //! * a **tenant record** — the full cold state of one hibernated
-//!   tenant: backend, program image, optional `HDSSNAP1` snapshot
+//!   tenant: backend, program image, optional `HDSSNAP2` snapshot
 //!   blob, and the replay tail of events past the snapshot's resume
 //!   point. Everything rehydration needs, including A/B backend
 //!   stickiness, travels in the record: loading never consults
@@ -116,7 +117,7 @@ pub struct TenantRecord {
     pub backend: u8,
     /// The tenant's program image, needed to rebuild the session.
     pub procedures: Vec<Procedure>,
-    /// Encoded `HDSSNAP1` snapshot blob (`None` before the first phase
+    /// Encoded `HDSSNAP2` snapshot blob (`None` before the first phase
     /// boundary, when the tail carries everything).
     pub snapshot: Option<Vec<u8>>,
     /// Events consumed since the snapshot's resume point, to replay.

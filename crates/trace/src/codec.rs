@@ -58,6 +58,7 @@ impl std::error::Error for CodecError {}
 /// continuation). Public so higher layers — e.g. the `hds-serve` wire
 /// protocol — frame their payloads with the exact same primitives the
 /// profile codec uses.
+#[inline]
 pub fn put_varint(out: &mut BytesMut, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -76,6 +77,7 @@ pub fn put_varint(out: &mut BytesMut, mut v: u64) {
 ///
 /// [`CodecError::Truncated`] when the buffer ends mid-varint,
 /// [`CodecError::Overlong`] when the encoding exceeds ten bytes.
+#[inline]
 pub fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
     let mut v = 0u64;
     for shift in (0..64).step_by(7) {
