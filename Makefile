@@ -3,25 +3,21 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test clippy bench-smoke telemetry-demo chaos-smoke bench-par chaos-crash bench-recover serve-smoke trace-smoke chaos-net bench-prefetch chaos-store bench-store chaos-cluster bench-cluster bench-trend
+.PHONY: verify build test clippy bench-smoke telemetry-demo chaos bench-par bench-recover serve-smoke trace-smoke bench-prefetch bench-store bench-cluster bench-trend
 
-## Tier-1 gate: release build, full test suite, clippy clean, chaos smoke,
+## Tier-1 gate: release build, full test suite, clippy clean, the chaos
+## sweeps (optimizer faults, supervised kills, hostile network, durable
+## store, cluster: every schedule reconciles or is byte-identical), the
 ## parallel-runner smoke (bit-identical + speedup + worker-lag stats),
-## chaos-crash smoke (supervised recovery is bit-identical), the
-## recovery benchmark (checkpoint neutrality + snapshot sizes), the
+## the recovery benchmark (checkpoint neutrality + snapshot sizes), the
 ## serving-layer smoke (sharded == sequential, graceful shedding), the
 ## flight-recorder smoke (tracing is bit-identical and crash dumps
-## land), the hostile-network sweep (every fault schedule converges
-## byte-identically), the prefetch-backend benchmark (per-backend
-## determinism + seeded A/B reproducibility), the durable-store chaos
-## sweep (kill/bit-rot/full-disk schedules recover byte-identically),
-## the durable-store benchmark, the cluster chaos sweep (router +
-## owner-fleet sessions byte-identical through kills, re-homes, and
-## membership churn), the cluster benchmark (router goodput + migration
-## latency), and the bench-trend gate (serving throughput, chaos
-## goodput, backend throughput, store throughput, and router goodput vs
-## the committed baselines).
-verify: build test clippy chaos-smoke bench-par chaos-crash bench-recover serve-smoke trace-smoke chaos-net bench-prefetch chaos-store bench-store chaos-cluster bench-cluster bench-trend
+## land), the prefetch-backend benchmark (per-backend determinism +
+## seeded A/B reproducibility), the durable-store benchmark, the
+## cluster benchmark (router goodput + migration latency), and the
+## bench-trend gate (every gated BENCH_*.json metric vs the committed
+## baselines).
+verify: build test clippy chaos bench-par bench-recover serve-smoke trace-smoke bench-prefetch bench-store bench-cluster bench-trend
 
 build:
 	$(CARGO) build --release
@@ -37,18 +33,17 @@ clippy:
 bench-smoke:
 	$(CARGO) bench -p hds-bench
 
-## Fault-injection smoke: 100 seeded chaos schedules over the benchmark
-## suite (no panics, exact telemetry reconciliation, failed-edit runs
-## degrade to the analyze baseline). Finishes in a few seconds.
-chaos-smoke:
-	$(CARGO) run --release -p hds-bench --bin chaos -- --schedules 100
-
-## Crash-recovery smoke: 100 seeded kill schedules (phase-boundary,
-## mid-edit, mid-handoff) under the supervisor — zero panics, exact
-## recovery-telemetry reconciliation, and every recovered lineage
-## bit-identical (report + image digest) to its crash-free twin.
-chaos-crash:
-	$(CARGO) run --release -p hds-bench --bin chaos_crash -- --schedules 100
+## Chaos sweeps, all five in one run (a few seconds), zero panics:
+## 100 seeded optimizer fault schedules (exact telemetry
+## reconciliation, failed-edit runs degrade to the analyze baseline),
+## 100 supervised kill schedules (every recovered lineage bit-identical
+## to its crash-free twin), 104 hostile-network schedules, 124
+## durable-store kill/bit-rot/full-disk schedules, and 72 cluster
+## kill/re-home/churn/mid-handoff schedules (all byte-identical to
+## standalone sessions). Writes results/BENCH_guard.json and
+## results/BENCH_net.json.
+chaos:
+	$(CARGO) run --release -p hds-bench --bin chaos -- --test-scale
 
 ## Recovery benchmark: checkpointing timing-neutrality, snapshot sizes,
 ## and a supervised kill-schedule sweep. Writes results/BENCH_recover.json.
@@ -76,13 +71,6 @@ serve-smoke:
 trace-smoke:
 	$(CARGO) run --release -p hds-bench --bin bench_trace -- --test-scale
 
-## Hostile-network sweep: 100+ seeded fault schedules (drop, delay,
-## duplicate, corrupt, partial write, disconnect) through the reliable
-## client against the sharded server — zero panics, every run
-## byte-identical to its fault-free twin. Writes results/BENCH_net.json.
-chaos-net:
-	$(CARGO) run --release -p hds-bench --bin chaos_net -- --test-scale
-
 ## Prefetch-backend benchmark: every BackendKind through the full
 ## online session path — asserts bit-identical reports across reruns
 ## and that the seeded A/B split reproduces exact per-tenant arms.
@@ -90,28 +78,11 @@ chaos-net:
 bench-prefetch:
 	$(CARGO) run --release -p hds-bench --bin bench_prefetch -- --test-scale
 
-## Durable-store chaos sweep: 100+ seeded schedules — process kills
-## swept across every mutating storage op (then a seeded page-cache
-## crash and reopen), bit rot on segments and the manifest, focused and
-## hostile fault scripts, and serve-path spill/load round trips on a
-## hostile disk. Zero panics; every schedule recovers byte-identically
-## or restarts from scratch with the restart attributed in telemetry.
-chaos-store:
-	$(CARGO) run --release -p hds-bench --bin chaos_store -- --test-scale
-
 ## Durable-store benchmark: spill/load/recovery-scan/compaction
 ## throughput and compaction write amplification. Writes
 ## results/BENCH_store.json.
 bench-store:
 	$(CARGO) run --release -p hds-bench --bin bench_store -- --test-scale
-
-## Cluster chaos sweep: seeded schedules through the router tier and a
-## fleet of owner processes — crash-free fleets at 2/4/8 owners, owners
-## killed mid-chunk (restarted or re-homed), membership churn with live
-## tenant migration, and kills landing mid-handoff. Zero panics; every
-## schedule's reports byte-identical to standalone sessions.
-chaos-cluster:
-	$(CARGO) run --release -p hds-bench --bin chaos_cluster -- --test-scale
 
 ## Cluster benchmark: router goodput (deterministic events per poll) at
 ## 2/4/8 owners plus migration latency in polls vs the crash-free twin.
@@ -121,12 +92,13 @@ bench-cluster:
 
 ## Bench-trend gate: the freshly written results/BENCH_serve.json,
 ## results/BENCH_net.json, results/BENCH_prefetch.json,
-## results/BENCH_store.json, and results/BENCH_cluster.json
-## (serve-smoke, chaos-net, bench-prefetch, bench-store, and
-## bench-cluster run first under `make verify`) against the committed
-## baselines — fails if serving throughput, chaos goodput, backend
-## throughput, store throughput, or router goodput fell below 80% of
-## HEAD's; skips with a note when either side is missing.
+## results/BENCH_store.json, and results/BENCH_cluster.json (chaos,
+## serve-smoke, bench-prefetch, bench-store, and bench-cluster run
+## first under `make verify`) against the committed baselines, one
+## gate-table row per metric family — fails if serving throughput,
+## network goodput, backend throughput, store throughput, or router
+## goodput fell below 80% of HEAD's; skips a file with a note when
+## either side is missing.
 bench-trend:
 	$(CARGO) run --release -p hds-bench --bin bench_trend
 

@@ -12,42 +12,22 @@
 //! against its crash-free twin — the delta is the price of the rebuild
 //! (restart) or the re-home (leave), in polls.
 //!
-//! Output: `results/BENCH_cluster.json` (override with `--out`), in the
-//! same self-describing shape as the other `BENCH_*.json` artifacts.
+//! Output: `results/BENCH_cluster.json`, in the same self-describing
+//! shape as the other `BENCH_*.json` artifacts.
 //!
 //! Run: `cargo run --release -p hds-bench --bin bench_cluster`
 //! (add `--test-scale` for the fast smoke run).
 
 use std::time::Instant;
 
-use hds_bench::scale_from_args;
+use hds_bench::{obj, scale_field, scale_from_args, write_bench};
 use hds_cluster::{run_cluster_session, Cluster, KillPolicy, RouterConfig};
 use hds_core::{OptimizerConfig, PrefetchPolicy, RunMode};
-use hds_flight::RunMeta;
 use hds_serve::client::ClientConfig;
 use hds_serve::load::{generate, LoadConfig, TenantLoad};
 use hds_serve::ServeConfig;
 use hds_workloads::Scale;
-use serde::{Serialize, Value};
-
-fn arg_after(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+use serde::Value;
 
 fn tiny_config() -> OptimizerConfig {
     let mut c = OptimizerConfig::test_scale();
@@ -130,7 +110,6 @@ fn per_sec(events: u64, secs: f64) -> f64 {
 
 fn main() {
     let scale = scale_from_args();
-    let out = arg_after("--out").unwrap_or_else(|| "results/BENCH_cluster.json".to_string());
     let load_cfg = load_config(scale);
     let loads = generate(&load_cfg).expect("valid load config");
     let events = total_events(&load_cfg);
@@ -195,35 +174,24 @@ fn main() {
         ]));
     }
 
-    let result = obj(vec![
-        ("record", Value::Str("bench_cluster".to_string())),
-        ("meta", RunMeta::capture(None).to_value()),
-        (
-            "scale",
-            Value::Str(match scale {
-                Scale::Test => "test".to_string(),
-                Scale::Paper => "paper".to_string(),
-            }),
-        ),
-        ("tenants", Value::U64(u64::from(load_cfg.tenants))),
-        (
-            "chunks_per_tenant",
-            Value::U64(u64::from(load_cfg.chunks_per_tenant)),
-        ),
-        (
-            "events_per_chunk",
-            Value::U64(u64::from(load_cfg.events_per_chunk)),
-        ),
-        ("events", Value::U64(events)),
-        ("crash_free_polls_4_owners", Value::U64(crash_free_polls)),
-        ("per_owners", Value::Arr(per_owners)),
-        ("migrations", Value::Arr(migrations)),
-    ]);
-    let json = serde_json::to_string_pretty(&result).expect("result serialises infallibly");
-    let path = std::path::Path::new(&out);
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("creating results directory");
-    }
-    std::fs::write(path, json + "\n").expect("writing results file");
-    println!("wrote {}", path.display());
+    write_bench(
+        "cluster",
+        None,
+        vec![
+            scale_field(scale),
+            ("tenants", Value::U64(u64::from(load_cfg.tenants))),
+            (
+                "chunks_per_tenant",
+                Value::U64(u64::from(load_cfg.chunks_per_tenant)),
+            ),
+            (
+                "events_per_chunk",
+                Value::U64(u64::from(load_cfg.events_per_chunk)),
+            ),
+            ("events", Value::U64(events)),
+            ("crash_free_polls_4_owners", Value::U64(crash_free_polls)),
+            ("per_owners", Value::Arr(per_owners)),
+            ("migrations", Value::Arr(migrations)),
+        ],
+    );
 }

@@ -14,36 +14,16 @@
 //!
 //! Run: `cargo run --release -p hds-bench --bin bench_parallel`
 //! (add `--test-scale` for the fast smoke run, `--workers N` to change
-//! the parallel worker count, `--out <path>` to redirect the JSON).
+//! the parallel worker count).
 
 use std::time::Instant;
 
-use hds_bench::scale_from_args;
+use hds_bench::{obj, parsed_arg, scale_field, scale_from_args, write_bench};
 use hds_core::{AnalysisConcurrency, OptimizerConfig, PrefetchPolicy, SessionBuilder};
 use hds_engine::{fig11_matrix, run_suite, JobOutcome};
-use hds_flight::RunMeta;
 use hds_telemetry::MetricsRecorder;
 use hds_workloads::{benchmark, Benchmark, Scale};
-use serde::{Serialize, Value};
-
-fn arg_after(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+use serde::Value;
 
 /// Times one full pass over the suite at the given worker count.
 fn timed_suite(jobs: &[hds_engine::SuiteJob], workers: usize) -> (Vec<JobOutcome>, f64) {
@@ -113,10 +93,7 @@ fn background_profile(scale: Scale, config: &OptimizerConfig) -> Value {
 
 fn main() {
     let scale = scale_from_args();
-    let workers: usize = arg_after("--workers")
-        .map(|w| w.parse().expect("--workers takes a number"))
-        .unwrap_or(4);
-    let out = arg_after("--out").unwrap_or_else(|| "results/BENCH_parallel.json".to_string());
+    let workers: usize = parsed_arg("--workers", 4);
     let config = match scale {
         Scale::Test => OptimizerConfig::test_scale(),
         Scale::Paper => OptimizerConfig::paper_scale(),
@@ -155,33 +132,22 @@ fn main() {
         bg.get("lag_samples").map_or(0, as_u64),
     );
 
-    let result = obj(vec![
-        ("record", Value::Str("bench_parallel".to_string())),
-        // Multi-mode matrix: no single config fingerprint applies.
-        ("meta", RunMeta::capture(None).to_value()),
-        (
-            "scale",
-            Value::Str(match scale {
-                Scale::Test => "test".to_string(),
-                Scale::Paper => "paper".to_string(),
-            }),
-        ),
-        ("jobs", Value::U64(jobs.len() as u64)),
-        ("workers", Value::U64(workers as u64)),
-        ("host_cores", Value::U64(host_cores as u64)),
-        ("sequential_ms", Value::F64(seq_ms)),
-        ("parallel_ms", Value::F64(par_ms)),
-        ("speedup", Value::F64(speedup)),
-        ("bit_identical", Value::Bool(bit_identical)),
-        ("background", bg),
-    ]);
-    let json = serde_json::to_string_pretty(&result).expect("result serialises infallibly");
-    let path = std::path::Path::new(&out);
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("creating results directory");
-    }
-    std::fs::write(path, json + "\n").expect("writing results file");
-    println!("wrote {}", path.display());
+    // Multi-mode matrix: no single config fingerprint applies.
+    write_bench(
+        "parallel",
+        None,
+        vec![
+            scale_field(scale),
+            ("jobs", Value::U64(jobs.len() as u64)),
+            ("workers", Value::U64(workers as u64)),
+            ("host_cores", Value::U64(host_cores as u64)),
+            ("sequential_ms", Value::F64(seq_ms)),
+            ("parallel_ms", Value::F64(par_ms)),
+            ("speedup", Value::F64(speedup)),
+            ("bit_identical", Value::Bool(bit_identical)),
+            ("background", bg),
+        ],
+    );
 }
 
 fn as_u64(v: &Value) -> u64 {

@@ -16,40 +16,19 @@
 //!    demand access).
 //!
 //! Run: `cargo run --release -p hds-bench --bin bench_prefetch`
-//! (add `--test-scale` for the fast smoke run, `--out <path>` to
-//! redirect the JSON).
+//! (add `--test-scale` for the fast smoke run).
 
 use std::time::Instant;
 
 use hds_backend::{BackendKind, BackendSelect};
-use hds_bench::{run, scale_from_args};
+use hds_bench::{obj, run, scale_field, scale_from_args, write_bench};
 use hds_core::{config_fingerprint, OptimizerConfig, PrefetchPolicy, RunMode};
-use hds_flight::RunMeta;
 use hds_memsim::MemStats;
 use hds_serve::load::{generate, LoadConfig};
 use hds_serve::{Frame, ServeConfig, SessionManager};
 use hds_telemetry::MetricsRecorder;
 use hds_workloads::{Benchmark, Scale};
-use serde::{Serialize, Value};
-
-fn arg_after(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+use serde::Value;
 
 #[allow(clippy::cast_precision_loss)]
 fn ratio(num: u64, den: u64) -> f64 {
@@ -133,7 +112,6 @@ fn ab_run(
 
 fn main() {
     let scale = scale_from_args();
-    let out = arg_after("--out").unwrap_or_else(|| "results/BENCH_prefetch.json".to_string());
     let config = match scale {
         Scale::Test => OptimizerConfig::test_scale(),
         Scale::Paper => OptimizerConfig::paper_scale(),
@@ -209,39 +187,25 @@ fn main() {
         loads.len()
     );
 
-    let result = obj(vec![
-        ("record", Value::Str("bench_prefetch".to_string())),
-        (
-            "meta",
-            RunMeta::capture(Some(config_fingerprint(&config, mode))).to_value(),
-        ),
-        (
-            "scale",
-            Value::Str(match scale {
-                Scale::Test => "test".to_string(),
-                Scale::Paper => "paper".to_string(),
-            }),
-        ),
-        ("benchmark", Value::Str(bench.name().to_string())),
-        ("per_backend", Value::Arr(per_backend)),
-        (
-            "ab",
-            obj(vec![
-                ("seed", Value::U64(ab_seed)),
-                ("tenants", Value::U64(loads.len() as u64)),
-                (
-                    "shares",
-                    Value::Arr(shares.iter().map(|&n| Value::U64(n)).collect()),
-                ),
-                ("reproducible", Value::Bool(reproducible)),
-            ]),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&result).expect("result serialises infallibly");
-    let path = std::path::Path::new(&out);
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("creating results directory");
-    }
-    std::fs::write(path, json + "\n").expect("writing results file");
-    println!("wrote {}", path.display());
+    write_bench(
+        "prefetch",
+        Some(config_fingerprint(&config, mode)),
+        vec![
+            scale_field(scale),
+            ("benchmark", Value::Str(bench.name().to_string())),
+            ("per_backend", Value::Arr(per_backend)),
+            (
+                "ab",
+                obj(vec![
+                    ("seed", Value::U64(ab_seed)),
+                    ("tenants", Value::U64(loads.len() as u64)),
+                    (
+                        "shares",
+                        Value::Arr(shares.iter().map(|&n| Value::U64(n)).collect()),
+                    ),
+                    ("reproducible", Value::Bool(reproducible)),
+                ]),
+            ),
+        ],
+    );
 }

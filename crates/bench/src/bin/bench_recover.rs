@@ -16,37 +16,18 @@
 //!    per-kill-point crash counts.
 //!
 //! Run: `cargo run --release -p hds-bench --bin bench_recover`
-//! (options: `--schedules <n>`, default 60; `--out <path>`).
+//! (options: `--schedules <n>`, default 60).
 
+use hds_bench::{obj, parsed_arg, scale_field, write_bench};
 use hds_core::{
     AccuracyConfig, AnalysisConcurrency, FaultPlan, GuardConfig, OptimizerConfig, PrefetchPolicy,
     RunMode, RunReport, SessionBuilder, Snapshot,
 };
 use hds_engine::{supervise, SupervisorPolicy};
-use hds_flight::RunMeta;
 use hds_telemetry::MetricsRecorder;
 use hds_vulcan::{Event, Procedure};
 use hds_workloads::{benchmark, Benchmark, Scale};
-use serde::{Serialize, Value};
-
-fn arg_after(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+use serde::Value;
 
 fn events_of(which: Benchmark) -> (Vec<Event>, Vec<Procedure>) {
     let mut w = benchmark(which, Scale::Test);
@@ -187,10 +168,7 @@ fn sweep(schedules: u64) -> SweepTotals {
 }
 
 fn main() {
-    let schedules: u64 = arg_after("--schedules")
-        .map(|n| n.parse().expect("--schedules takes a number"))
-        .unwrap_or(60);
-    let out = arg_after("--out").unwrap_or_else(|| "results/BENCH_recover.json".to_string());
+    let schedules: u64 = parsed_arg("--schedules", 60);
 
     println!(
         "bench-recover: checkpoint neutrality over {} benchmarks",
@@ -218,33 +196,28 @@ fn main() {
         "no schedule ever restarted — the sweep exercised nothing"
     );
 
-    let result = obj(vec![
-        ("record", Value::Str("bench_recover".to_string())),
-        // Kill-schedule sweep spans several configs: no one fingerprint.
-        ("meta", RunMeta::capture(None).to_value()),
-        ("scale", Value::Str("test".to_string())),
-        ("schedules", Value::U64(schedules)),
-        ("crashed_schedules", Value::U64(totals.crashed_schedules)),
-        ("crashes", Value::U64(totals.crashes)),
-        ("restarts", Value::U64(totals.restarts)),
-        ("snapshots", Value::U64(totals.snapshots)),
-        ("gave_ups", Value::U64(totals.gave_ups)),
-        ("backoff_total_cycles", Value::U64(totals.backoff_total)),
-        ("bit_identical", Value::Bool(true)),
-        (
-            "checkpoint",
-            obj(vec![
-                ("timing_neutral", Value::Bool(true)),
-                ("snapshot_bytes_max", Value::U64(bytes_max)),
-                ("snapshot_bytes_mean", Value::F64(bytes_mean)),
-            ]),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&result).expect("result serialises infallibly");
-    let path = std::path::Path::new(&out);
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("creating results directory");
-    }
-    std::fs::write(path, json + "\n").expect("writing results file");
-    println!("wrote {}", path.display());
+    // Kill-schedule sweep spans several configs: no one fingerprint.
+    write_bench(
+        "recover",
+        None,
+        vec![
+            scale_field(Scale::Test),
+            ("schedules", Value::U64(schedules)),
+            ("crashed_schedules", Value::U64(totals.crashed_schedules)),
+            ("crashes", Value::U64(totals.crashes)),
+            ("restarts", Value::U64(totals.restarts)),
+            ("snapshots", Value::U64(totals.snapshots)),
+            ("gave_ups", Value::U64(totals.gave_ups)),
+            ("backoff_total_cycles", Value::U64(totals.backoff_total)),
+            ("bit_identical", Value::Bool(true)),
+            (
+                "checkpoint",
+                obj(vec![
+                    ("timing_neutral", Value::Bool(true)),
+                    ("snapshot_bytes_max", Value::U64(bytes_max)),
+                    ("snapshot_bytes_mean", Value::F64(bytes_mean)),
+                ]),
+            ),
+        ],
+    );
 }

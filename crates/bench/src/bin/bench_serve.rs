@@ -16,39 +16,18 @@
 //!    shed counters reconcile exactly with telemetry.
 //!
 //! Run: `cargo run --release -p hds-bench --bin bench_serve`
-//! (add `--test-scale` for the fast smoke run, `--out <path>` to
-//! redirect the JSON).
+//! (add `--test-scale` for the fast smoke run).
 
 use std::time::Instant;
 
-use hds_bench::scale_from_args;
+use hds_bench::{obj, scale_field, scale_from_args, write_bench};
 use hds_core::{config_fingerprint, OptimizerConfig, PrefetchPolicy, RunMode};
-use hds_flight::RunMeta;
 use hds_guard::ServeBudgets;
 use hds_serve::load::{generate, standalone_reference, LoadConfig, TenantLoad};
 use hds_serve::{Frame, ServeConfig, SessionManager};
 use hds_telemetry::{Histogram, MetricsRecorder};
 use hds_workloads::Scale;
-use serde::{Serialize, Value};
-
-fn arg_after(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+use serde::Value;
 
 /// Approximate quantile from the log-bucketed histogram: the upper
 /// bound of the first bucket whose cumulative count covers `q`.
@@ -115,7 +94,6 @@ fn drive(manager: &mut SessionManager<MetricsRecorder>, loads: &[TenantLoad]) ->
 
 fn main() {
     let scale = scale_from_args();
-    let out = arg_after("--out").unwrap_or_else(|| "results/BENCH_serve.json".to_string());
     let (config, load_cfg) = match scale {
         Scale::Test => {
             let mut c = OptimizerConfig::test_scale();
@@ -256,41 +234,27 @@ fn main() {
         shed_rate * 100.0
     );
 
-    let result = obj(vec![
-        ("record", Value::Str("bench_serve".to_string())),
-        (
-            "meta",
-            RunMeta::capture(Some(config_fingerprint(&config, mode))).to_value(),
-        ),
-        (
-            "scale",
-            Value::Str(match scale {
-                Scale::Test => "test".to_string(),
-                Scale::Paper => "paper".to_string(),
-            }),
-        ),
-        ("tenants", Value::U64(u64::from(load_cfg.tenants))),
-        (
-            "chunks_per_tenant",
-            Value::U64(u64::from(load_cfg.chunks_per_tenant)),
-        ),
-        ("total_events", Value::U64(total_events)),
-        ("sharded_eq_sequential", Value::Bool(all_identical)),
-        ("per_shards", Value::Arr(per_shards)),
-        (
-            "shed",
-            obj(vec![
-                ("offered_chunks", Value::U64(offered)),
-                ("shed_chunks", Value::U64(shed)),
-                ("shed_rate", Value::F64(shed_rate)),
-            ]),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&result).expect("result serialises infallibly");
-    let path = std::path::Path::new(&out);
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("creating results directory");
-    }
-    std::fs::write(path, json + "\n").expect("writing results file");
-    println!("wrote {}", path.display());
+    write_bench(
+        "serve",
+        Some(config_fingerprint(&config, mode)),
+        vec![
+            scale_field(scale),
+            ("tenants", Value::U64(u64::from(load_cfg.tenants))),
+            (
+                "chunks_per_tenant",
+                Value::U64(u64::from(load_cfg.chunks_per_tenant)),
+            ),
+            ("total_events", Value::U64(total_events)),
+            ("sharded_eq_sequential", Value::Bool(all_identical)),
+            ("per_shards", Value::Arr(per_shards)),
+            (
+                "shed",
+                obj(vec![
+                    ("offered_chunks", Value::U64(offered)),
+                    ("shed_chunks", Value::U64(shed)),
+                    ("shed_rate", Value::F64(shed_rate)),
+                ]),
+            ),
+        ],
+    );
 }

@@ -9,36 +9,15 @@
 //! disk.
 //!
 //! Run: `cargo run --release -p hds-bench --bin bench_store`
-//! (add `--test-scale` for the fast smoke run, `--out <path>` to
-//! redirect the JSON).
+//! (add `--test-scale` for the fast smoke run).
 
 use std::time::Instant;
 
-use hds_bench::scale_from_args;
-use hds_flight::RunMeta;
+use hds_bench::{obj, scale_field, scale_from_args, write_bench};
 use hds_store::{MemStorage, Store, StoreConfig, TenantRecord};
 use hds_vulcan::{Event, ProcId, Procedure};
 use hds_workloads::Scale;
-use serde::{Serialize, Value};
-
-fn arg_after(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+use serde::Value;
 
 /// A realistically-sized cold record: a snapshot blob plus a replay
 /// tail, deterministic per (tenant, version).
@@ -155,7 +134,6 @@ fn run_pipeline(
 
 fn main() {
     let scale = scale_from_args();
-    let out = arg_after("--out").unwrap_or_else(|| "results/BENCH_store.json".to_string());
     // Test-scale phases finish in well under a millisecond, so a single
     // run is scheduler noise: repeat the whole pipeline and keep each
     // phase's best time. `bench_trend` compares best-of-N vs best-of-N.
@@ -227,29 +205,18 @@ fn main() {
         "  compaction rewrote {compact_bytes} bytes for {live_bytes} live ({amplification:.2}x)"
     );
 
-    let result = obj(vec![
-        ("record", Value::Str("bench_store".to_string())),
-        ("meta", RunMeta::capture(None).to_value()),
-        (
-            "scale",
-            Value::Str(match scale {
-                Scale::Test => "test".to_string(),
-                Scale::Paper => "paper".to_string(),
-            }),
-        ),
-        ("tenants", Value::U64(tenants)),
-        ("versions", Value::U64(versions)),
-        ("tail_events", Value::U64(tail_events as u64)),
-        ("history_bytes", Value::U64(bytes_history)),
-        ("live_bytes", Value::U64(live_bytes)),
-        ("compaction_amplification", Value::F64(amplification)),
-        ("per_op", Value::Arr(per_op)),
-    ]);
-    let json = serde_json::to_string_pretty(&result).expect("result serialises infallibly");
-    let path = std::path::Path::new(&out);
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("creating results directory");
-    }
-    std::fs::write(path, json + "\n").expect("writing results file");
-    println!("wrote {}", path.display());
+    write_bench(
+        "store",
+        None,
+        vec![
+            scale_field(scale),
+            ("tenants", Value::U64(tenants)),
+            ("versions", Value::U64(versions)),
+            ("tail_events", Value::U64(tail_events as u64)),
+            ("history_bytes", Value::U64(bytes_history)),
+            ("live_bytes", Value::U64(live_bytes)),
+            ("compaction_amplification", Value::F64(amplification)),
+            ("per_op", Value::Arr(per_op)),
+        ],
+    );
 }

@@ -27,38 +27,19 @@
 //! the phase that died.
 //!
 //! Run: `cargo run --release -p hds-bench --bin bench_trace`
-//! (options: `--test-scale`, `--reps <n>` (default 5), `--out <path>`,
-//! `--dump-dir <dir>` for the forced-crash flight dump).
+//! (options: `--test-scale`, `--reps <n>` (default 5), `--dump-dir
+//! <dir>` for the forced-crash flight dump).
 
 use std::time::Instant;
 
-use hds_bench::scale_from_args;
+use hds_bench::{arg_after, obj, parsed_arg, scale_field, scale_from_args, write_bench};
 use hds_core::{config_fingerprint, OptimizerConfig, PrefetchPolicy, RunMode, SessionBuilder};
 use hds_engine::{supervise, SupervisorPolicy};
-use hds_flight::{perfetto, FlightRecorder, RunMeta};
+use hds_flight::{perfetto, FlightRecorder};
 use hds_guard::FaultPlan;
 use hds_vulcan::{Event, Procedure};
 use hds_workloads::{benchmark, Benchmark, Scale};
-use serde::{Serialize, Value};
-
-fn arg_after(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+use serde::Value;
 
 fn events_of(which: Benchmark, scale: Scale) -> (Vec<Event>, Vec<Procedure>) {
     let mut w = benchmark(which, scale);
@@ -145,7 +126,6 @@ fn forced_crash_dump(config: &OptimizerConfig, dump_dir: &str) -> (Value, String
 
 fn main() {
     let scale = scale_from_args();
-    let out = arg_after("--out").unwrap_or_else(|| "results/BENCH_trace.json".to_string());
     // Forced-crash flight dumps are scratch output, not results: keep
     // them out of the repo tree unless explicitly redirected.
     let dump_dir = arg_after("--dump-dir").unwrap_or_else(|| {
@@ -154,9 +134,7 @@ fn main() {
             .display()
             .to_string()
     });
-    let reps: u32 = arg_after("--reps")
-        .map(|n| n.parse().expect("--reps takes a number"))
-        .unwrap_or(5);
+    let reps: u32 = parsed_arg("--reps", 5);
     let config = match scale {
         Scale::Test => OptimizerConfig::test_scale(),
         Scale::Paper => OptimizerConfig::paper_scale(),
@@ -236,38 +214,24 @@ fn main() {
     };
     println!("  flight dump: {dump_path} ({dump_records} records, reason \"crash\")");
 
-    let result = obj(vec![
-        ("record", Value::Str("bench_trace".to_string())),
-        (
-            "meta",
-            RunMeta::capture(Some(config_fingerprint(&config, mode))).to_value(),
-        ),
-        (
-            "scale",
-            Value::Str(match scale {
-                Scale::Test => "test".to_string(),
-                Scale::Paper => "paper".to_string(),
-            }),
-        ),
-        ("reps", Value::U64(u64::from(reps))),
-        ("bit_identical", Value::Bool(true)),
-        ("overhead_pct_aggregate", Value::F64(overhead_pct_aggregate)),
-        ("overhead_pct_max", Value::F64(overhead_pct_max)),
-        ("per_benchmark", Value::Arr(per_benchmark)),
-        (
-            "flight_dump",
-            obj(vec![
-                ("path", Value::Str(dump_path)),
-                ("reason", Value::Str("crash".to_string())),
-                ("records", Value::U64(dump_records)),
-            ]),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&result).expect("result serialises infallibly");
-    let path = std::path::Path::new(&out);
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).expect("creating results directory");
-    }
-    std::fs::write(path, json + "\n").expect("writing results file");
-    println!("wrote {}", path.display());
+    write_bench(
+        "trace",
+        Some(config_fingerprint(&config, mode)),
+        vec![
+            scale_field(scale),
+            ("reps", Value::U64(u64::from(reps))),
+            ("bit_identical", Value::Bool(true)),
+            ("overhead_pct_aggregate", Value::F64(overhead_pct_aggregate)),
+            ("overhead_pct_max", Value::F64(overhead_pct_max)),
+            ("per_benchmark", Value::Arr(per_benchmark)),
+            (
+                "flight_dump",
+                obj(vec![
+                    ("path", Value::Str(dump_path)),
+                    ("reason", Value::Str("crash".to_string())),
+                    ("records", Value::U64(dump_records)),
+                ]),
+            ),
+        ],
+    );
 }

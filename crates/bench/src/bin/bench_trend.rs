@@ -1,146 +1,115 @@
-//! Bench-trend gate: compares freshly generated results files against
-//! the committed baselines (`git show <rev>:results/...`) and fails on
-//! regressions past the allowed fraction:
+//! Bench-trend gate: compares the freshly generated `results/BENCH_*`
+//! files against the committed baselines (`git show HEAD:results/...`)
+//! and fails when any gated metric falls below [`MIN_RATIO`] of its
+//! baseline. [`GATES`] lists what is gated, one row per metric family:
 //!
-//! * `BENCH_serve.json` — serving throughput (events/s) per shard
-//!   count;
-//! * `BENCH_net.json` — hostile-network goodput (events per poll) per
-//!   fault class. Goodput falls when retry/recovery takes more polls
-//!   to deliver the same events, so this catches convergence
-//!   regressions in the reliable client;
-//! * `BENCH_prefetch.json` — per-backend session throughput
-//!   (events/s), so a slow table implementation in any prefetch
-//!   backend is caught at the gate;
-//! * `BENCH_store.json` — durable-store operation throughput
-//!   (spills, loads, recovery scans, compactions per second), so a
-//!   slow framing/checksum/index path in the cold-tenant store is
-//!   caught at the gate;
-//! * `BENCH_cluster.json` — router goodput (events per poll) per fleet
-//!   size. Polls are deterministic scheduler rounds, so any extra
-//!   round-trips added to the router ↔ owner forwarding path (chattier
-//!   handoffs, lost pipelining) drop this figure immediately.
+//! * serving throughput (events/s) per shard count;
+//! * hostile-network goodput (events per poll) per fault class and for
+//!   the hostile mix — goodput falls when retry/recovery takes more
+//!   polls to deliver the same events;
+//! * per-backend session throughput (events/s);
+//! * durable-store operation throughput (spills, loads, recovery
+//!   scans, compactions per second);
+//! * router goodput (events per poll) per fleet size — polls are
+//!   deterministic scheduler rounds, so any extra router ↔ owner
+//!   round-trip drops this figure immediately.
 //!
 //! The comparison is deliberately coarse — a 20% guardrail against
 //! accidental quadratic blowups, not a microbenchmark — because both
 //! numbers come from the same host in the same `make verify` run.
 //! When either side is unavailable (no fresh file, no git, no baseline
-//! in the committed tree yet) the gate skips with a note instead of
-//! failing: absence of evidence is not a regression.
+//! in the committed tree yet) a file is skipped with a note: absence of
+//! evidence is not a regression. A gate row that resolves no
+//! `(key, metric)` pair on files that do exist fails: that is a renamed
+//! field, not a pass.
 //!
 //! Run: `cargo run --release -p hds-bench --bin bench_trend`
-//! (options: `--current <path>`, `--current-net <path>`,
-//! `--current-prefetch <path>`, `--current-store <path>`,
-//! `--current-cluster <path>`, `--baseline-rev <rev>` (default
-//! `HEAD`), `--min-ratio <f>` (default 0.8)).
 
 use std::process::Command;
 
 use hds_bench::print_table;
 use serde::Value;
 
-fn arg_after(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
+/// Fresh results must stay at or above this fraction of the baseline.
+const MIN_RATIO: f64 = 0.8;
+
+/// One gated metric family: in `results/<file>`, every object of the
+/// `rows` field (an array of objects, or a single object) contributes
+/// one `(key, metric)` pair.
+struct Gate {
+    file: &'static str,
+    rows: &'static str,
+    key: &'static str,
+    metric: &'static str,
 }
 
-/// `shards -> events_per_s` out of a BENCH_serve.json value.
-fn throughputs(doc: &Value) -> Vec<(u64, f64)> {
-    let Some(Value::Arr(rows)) = doc.get("per_shards") else {
-        return Vec::new();
+const GATES: [Gate; 6] = [
+    Gate {
+        file: "BENCH_serve.json",
+        rows: "per_shards",
+        key: "shards",
+        metric: "events_per_s",
+    },
+    Gate {
+        file: "BENCH_net.json",
+        rows: "per_class",
+        key: "fault",
+        metric: "goodput_events_per_poll",
+    },
+    Gate {
+        file: "BENCH_net.json",
+        rows: "hostile",
+        key: "fault",
+        metric: "goodput_events_per_poll",
+    },
+    Gate {
+        file: "BENCH_prefetch.json",
+        rows: "per_backend",
+        key: "backend",
+        metric: "events_per_s",
+    },
+    Gate {
+        file: "BENCH_store.json",
+        rows: "per_op",
+        key: "op",
+        metric: "ops_per_s",
+    },
+    Gate {
+        file: "BENCH_cluster.json",
+        rows: "per_owners",
+        key: "owners",
+        metric: "goodput_events_per_poll",
+    },
+];
+
+/// The `(key, metric)` pairs `gate` selects out of a results document.
+fn pairs(doc: &Value, gate: &Gate) -> Vec<(String, f64)> {
+    let rows = match doc.get(gate.rows) {
+        Some(Value::Arr(rows)) => rows.as_slice(),
+        Some(row) => std::slice::from_ref(row),
+        None => &[],
     };
-    let mut out = Vec::new();
-    for row in rows {
-        let (Some(Value::U64(shards)), Some(Value::F64(eps))) =
-            (row.get("shards"), row.get("events_per_s"))
-        else {
-            continue;
-        };
-        out.push((*shards, *eps));
-    }
-    out
+    rows.iter()
+        .filter_map(|row| {
+            let key = match row.get(gate.key)? {
+                Value::Str(s) => s.clone(),
+                Value::U64(n) => n.to_string(),
+                _ => return None,
+            };
+            #[allow(clippy::cast_precision_loss)]
+            let metric = match row.get(gate.metric)? {
+                Value::F64(v) => *v,
+                Value::U64(n) => *n as f64,
+                _ => return None,
+            };
+            Some((key, metric))
+        })
+        .collect()
 }
 
-/// `fault class -> goodput (events per poll)` out of a BENCH_net.json
-/// value: every `per_class` row plus the hostile-mix block.
-fn goodputs(doc: &Value) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut push_row = |row: &Value| {
-        if let (Some(Value::Str(fault)), Some(Value::F64(gp))) =
-            (row.get("fault"), row.get("goodput_events_per_poll"))
-        {
-            out.push((fault.clone(), *gp));
-        }
-    };
-    if let Some(Value::Arr(rows)) = doc.get("per_class") {
-        for row in rows {
-            push_row(row);
-        }
-    }
-    if let Some(hostile) = doc.get("hostile") {
-        push_row(hostile);
-    }
-    out
-}
-
-/// `backend label -> events_per_s` out of a BENCH_prefetch.json value.
-fn backend_throughputs(doc: &Value) -> Vec<(String, f64)> {
-    let Some(Value::Arr(rows)) = doc.get("per_backend") else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for row in rows {
-        let (Some(Value::Str(backend)), Some(Value::F64(eps))) =
-            (row.get("backend"), row.get("events_per_s"))
-        else {
-            continue;
-        };
-        out.push((backend.clone(), *eps));
-    }
-    out
-}
-
-/// `store op -> ops/s` out of a BENCH_store.json value.
-fn store_throughputs(doc: &Value) -> Vec<(String, f64)> {
-    let Some(Value::Arr(rows)) = doc.get("per_op") else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for row in rows {
-        let (Some(Value::Str(op)), Some(Value::F64(rate))) = (row.get("op"), row.get("ops_per_s"))
-        else {
-            continue;
-        };
-        out.push((op.clone(), *rate));
-    }
-    out
-}
-
-/// `owner count -> router goodput (events per poll)` out of a
-/// BENCH_cluster.json value.
-fn cluster_throughputs(doc: &Value) -> Vec<(String, f64)> {
-    let Some(Value::Arr(rows)) = doc.get("per_owners") else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for row in rows {
-        let (Some(Value::U64(owners)), Some(Value::F64(gp))) =
-            (row.get("owners"), row.get("goodput_events_per_poll"))
-        else {
-            continue;
-        };
-        out.push((format!("{owners} owners"), *gp));
-    }
-    out
-}
-
-fn baseline_blob(rev: &str, path: &str) -> Option<String> {
+fn baseline_blob(path: &str) -> Option<String> {
     let out = Command::new("git")
-        .args(["show", &format!("{rev}:{path}")])
+        .args(["show", &format!("HEAD:{path}")])
         .output()
         .ok()?;
     if !out.status.success() {
@@ -149,186 +118,99 @@ fn baseline_blob(rev: &str, path: &str) -> Option<String> {
     Some(String::from_utf8_lossy(&out.stdout).into_owned())
 }
 
-/// Loads current + committed-baseline JSON for one results file, with
-/// skip-notes on every absence. Returns `None` to skip the gate.
-fn load_pair(
-    current_path: &str,
-    repo_path: &str,
-    rev: &str,
-    producer: &str,
-) -> Option<(Value, Value)> {
-    let Ok(current_text) = std::fs::read_to_string(current_path) else {
-        println!("bench-trend: no fresh {current_path}; skipping (run {producer} first)");
+/// Fresh and committed JSON for one results file, with a skip note on
+/// either absence.
+fn load_pair(path: &str) -> Option<(Value, Value)> {
+    let Ok(current_text) = std::fs::read_to_string(path) else {
+        println!("bench-trend: no fresh {path}; skipping (run its producer first)");
         return None;
     };
-    let Some(baseline_text) = baseline_blob(rev, repo_path) else {
-        println!("bench-trend: no committed {repo_path} at {rev}; skipping");
+    let Some(baseline_text) = baseline_blob(path) else {
+        println!("bench-trend: no committed {path} at HEAD; skipping");
         return None;
     };
     let current = serde_json::parse_value_str(&current_text)
-        .unwrap_or_else(|e| panic!("fresh {current_path} parses: {e:?}"));
+        .unwrap_or_else(|e| panic!("fresh {path} parses: {e:?}"));
     let baseline = serde_json::parse_value_str(&baseline_text)
-        .unwrap_or_else(|e| panic!("committed {repo_path} parses: {e:?}"));
+        .unwrap_or_else(|e| panic!("committed {path} parses: {e:?}"));
     Some((current, baseline))
 }
 
-/// Compares labelled metric rows against the baseline, printing a
-/// table. Returns how many rows fell below `min_ratio` of baseline.
-fn gate(
-    what: &str,
-    headers: &[&str],
-    current: &[(String, f64)],
-    baseline: &[(String, f64)],
-    min_ratio: f64,
-) -> u32 {
+fn main() {
+    println!(
+        "bench-trend: fresh results vs HEAD (fail below {:.0}% of baseline)",
+        MIN_RATIO * 100.0
+    );
     let mut rows = Vec::new();
-    let mut regressions = 0u32;
-    for (key, cur) in current {
-        let Some((_, base)) = baseline.iter().find(|(k, _)| k == key) else {
+    let mut failures = 0u32;
+    for gate in &GATES {
+        let path = format!("results/{}", gate.file);
+        let Some((current, baseline)) = load_pair(&path) else {
             continue;
         };
-        let ratio = cur / base;
-        let ok = ratio >= min_ratio;
-        if !ok {
-            regressions += 1;
+        let baseline = pairs(&baseline, gate);
+        let compared = rows.len();
+        for (key, cur) in pairs(&current, gate) {
+            let Some((_, base)) = baseline.iter().find(|(k, _)| *k == key) else {
+                continue;
+            };
+            let ratio = cur / base;
+            let ok = ratio >= MIN_RATIO;
+            failures += u32::from(!ok);
+            rows.push(vec![
+                gate.file.to_string(),
+                format!("{} {key}", gate.key),
+                gate.metric.to_string(),
+                format!("{base:.2}"),
+                format!("{cur:.2}"),
+                format!("{ratio:.2}x"),
+                if ok { "ok" } else { "REGRESSED" }.to_string(),
+            ]);
         }
-        rows.push(vec![
-            key.clone(),
-            format!("{base:.2}"),
-            format!("{cur:.2}"),
-            format!("{ratio:.2}x"),
-            if ok { "ok" } else { "REGRESSED" }.to_string(),
-        ]);
+        if rows.len() == compared {
+            println!(
+                "bench-trend: {path} has no comparable {}[].{{{}, {}}} rows",
+                gate.rows, gate.key, gate.metric
+            );
+            failures += 1;
+        }
     }
-    if rows.is_empty() {
-        println!("bench-trend: no comparable {what} rows; skipping");
-    } else {
-        print_table(headers, &rows);
-    }
-    regressions
-}
-
-fn main() {
-    let current_path =
-        arg_after("--current").unwrap_or_else(|| "results/BENCH_serve.json".to_string());
-    let current_net_path =
-        arg_after("--current-net").unwrap_or_else(|| "results/BENCH_net.json".to_string());
-    let current_prefetch_path = arg_after("--current-prefetch")
-        .unwrap_or_else(|| "results/BENCH_prefetch.json".to_string());
-    let current_store_path =
-        arg_after("--current-store").unwrap_or_else(|| "results/BENCH_store.json".to_string());
-    let current_cluster_path =
-        arg_after("--current-cluster").unwrap_or_else(|| "results/BENCH_cluster.json".to_string());
-    let rev = arg_after("--baseline-rev").unwrap_or_else(|| "HEAD".to_string());
-    let min_ratio: f64 = arg_after("--min-ratio")
-        .map(|f| f.parse().expect("--min-ratio takes a number"))
-        .unwrap_or(0.8);
-    println!(
-        "bench-trend: fresh results vs {rev} (fail below {:.0}% of baseline)",
-        min_ratio * 100.0
+    print_table(
+        &[
+            "file", "row", "metric", "baseline", "current", "ratio", "status",
+        ],
+        &rows,
     );
-
-    let mut regressions = 0u32;
-    if let Some((current, baseline)) = load_pair(
-        &current_path,
-        "results/BENCH_serve.json",
-        &rev,
-        "bench_serve",
-    ) {
-        let current_tp: Vec<(String, f64)> = throughputs(&current)
-            .into_iter()
-            .map(|(s, v)| (s.to_string(), v))
-            .collect();
-        let baseline_tp: Vec<(String, f64)> = throughputs(&baseline)
-            .into_iter()
-            .map(|(s, v)| (s.to_string(), v))
-            .collect();
-        regressions += gate(
-            "serving throughput",
-            &["shards", "baseline ev/s", "current ev/s", "ratio", "status"],
-            &current_tp,
-            &baseline_tp,
-            min_ratio,
-        );
-    }
-    if let Some((current, baseline)) = load_pair(
-        &current_net_path,
-        "results/BENCH_net.json",
-        &rev,
-        "chaos_net",
-    ) {
-        regressions += gate(
-            "chaos goodput",
-            &[
-                "fault",
-                "baseline ev/poll",
-                "current ev/poll",
-                "ratio",
-                "status",
-            ],
-            &goodputs(&current),
-            &goodputs(&baseline),
-            min_ratio,
-        );
-    }
-    if let Some((current, baseline)) = load_pair(
-        &current_prefetch_path,
-        "results/BENCH_prefetch.json",
-        &rev,
-        "bench_prefetch",
-    ) {
-        regressions += gate(
-            "backend throughput",
-            &[
-                "backend",
-                "baseline ev/s",
-                "current ev/s",
-                "ratio",
-                "status",
-            ],
-            &backend_throughputs(&current),
-            &backend_throughputs(&baseline),
-            min_ratio,
-        );
-    }
-    if let Some((current, baseline)) = load_pair(
-        &current_store_path,
-        "results/BENCH_store.json",
-        &rev,
-        "bench_store",
-    ) {
-        regressions += gate(
-            "store throughput",
-            &["op", "baseline ops/s", "current ops/s", "ratio", "status"],
-            &store_throughputs(&current),
-            &store_throughputs(&baseline),
-            min_ratio,
-        );
-    }
-    if let Some((current, baseline)) = load_pair(
-        &current_cluster_path,
-        "results/BENCH_cluster.json",
-        &rev,
-        "bench_cluster",
-    ) {
-        regressions += gate(
-            "router goodput",
-            &[
-                "fleet",
-                "baseline ev/poll",
-                "current ev/poll",
-                "ratio",
-                "status",
-            ],
-            &cluster_throughputs(&current),
-            &cluster_throughputs(&baseline),
-            min_ratio,
-        );
-    }
     assert!(
-        regressions == 0,
-        "{regressions} benchmark row(s) regressed more than {:.0}% below baseline",
-        (1.0 - min_ratio) * 100.0
+        failures == 0,
+        "{failures} gated row(s) regressed below {:.0}% of baseline or resolved nothing",
+        MIN_RATIO * 100.0
     );
     println!("bench-trend: every compared metric within budget");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every gate row must resolve on the committed results: a renamed
+    /// field or row array would otherwise gate nothing.
+    #[test]
+    fn every_gate_row_resolves_on_the_committed_results() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for gate in &GATES {
+            let text = std::fs::read_to_string(dir.join(gate.file))
+                .unwrap_or_else(|e| panic!("reading {}: {e}", gate.file));
+            let doc = serde_json::parse_value_str(&text)
+                .unwrap_or_else(|e| panic!("{} parses: {e:?}", gate.file));
+            assert!(
+                !pairs(&doc, gate).is_empty(),
+                "{} resolves no ({}, {}) pairs under {}",
+                gate.file,
+                gate.key,
+                gate.metric,
+                gate.rows
+            );
+        }
+    }
 }

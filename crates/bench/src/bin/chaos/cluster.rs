@@ -1,4 +1,4 @@
-//! Cluster chaos sweep: seeded schedules driving a client through the
+//! The cluster sweep: seeded schedules driving a client through the
 //! router tier and a fleet of shard-owner processes while owners are
 //! killed mid-chunk (`SIGKILL` semantics — the whole process state
 //! drops) and the membership churns. Every schedule must finish with
@@ -20,33 +20,19 @@
 //!    exports).
 //! 5. **Mid-handoff kills** — the destination or source of an active
 //!    migration dies before the handoff completes.
-//!
-//! Run: `cargo run --release -p hds-bench --bin chaos_cluster`
-//! (add `--test-scale` for the fast smoke run).
 
 use std::collections::BTreeMap;
 
-use hds_bench::scale_from_args;
 use hds_cluster::{run_cluster_session, Cluster, KillPolicy, RouterConfig};
-use hds_core::{OptimizerConfig, PrefetchPolicy, RunMode};
-use hds_serve::client::ClientConfig;
-use hds_serve::load::{generate, standalone_reference, LoadConfig, TenantLoad};
+use hds_serve::client::{ClientConfig, TenantReport};
+use hds_serve::load::{generate, LoadConfig, TenantLoad};
 use hds_serve::ServeConfig;
+use hds_workloads::Scale;
 
-fn tiny_config() -> OptimizerConfig {
-    let mut c = OptimizerConfig::test_scale();
-    c.bursty = hds_bursty::BurstyConfig::new(8, 8, 2, 3);
-    c.analysis.min_length = 4;
-    c.analysis.min_unique_refs = 2;
-    c
-}
-
-fn mode() -> RunMode {
-    RunMode::Optimize(PrefetchPolicy::StreamTail)
-}
+use crate::{assert_identical, references, tiny_config, MODE};
 
 fn serve_config() -> ServeConfig {
-    ServeConfig::new(tiny_config(), mode()).with_shards(2)
+    ServeConfig::new(tiny_config(), MODE).with_shards(2)
 }
 
 fn router_config(refresh_every: u64) -> RouterConfig {
@@ -73,34 +59,8 @@ fn load(seed: u64) -> Vec<TenantLoad> {
     .expect("valid load config")
 }
 
-/// Crash-free standalone twins, cached per seed: `(report_json,
-/// digest)` in load order.
-struct References {
-    by_seed: BTreeMap<u64, Vec<(String, u64)>>,
-}
-
-impl References {
-    fn new() -> Self {
-        References {
-            by_seed: BTreeMap::new(),
-        }
-    }
-
-    fn for_seed(&mut self, seed: u64) -> &[(String, u64)] {
-        self.by_seed.entry(seed).or_insert_with(|| {
-            load(seed)
-                .iter()
-                .map(|l| {
-                    let (report, digest) = standalone_reference(&tiny_config(), mode(), l);
-                    (
-                        serde_json::to_string(&report).expect("report serializes"),
-                        digest,
-                    )
-                })
-                .collect()
-        })
-    }
-}
+/// Crash-free standalone twins, cached per seed.
+type References = BTreeMap<u64, Vec<TenantReport>>;
 
 fn owner_ids(n: u32) -> Vec<u32> {
     (0..n).collect()
@@ -131,35 +91,19 @@ fn run_schedule(
     .expect("valid serve config");
     let outcome = run_cluster_session(&mut cluster, client_config(), &loads, 50_000, script)
         .unwrap_or_else(|e| panic!("{what} (owners {owners}, seed {seed}) failed: {e}"));
-    let expected = refs.for_seed(seed);
-    assert_eq!(
-        outcome.reports.len(),
-        expected.len(),
-        "{what}: missing reports"
+    let expected = refs.entry(seed).or_insert_with(|| references(&loads));
+    assert_identical(
+        &format!("{what} (owners {owners}, seed {seed})"),
+        &outcome.reports,
+        expected,
     );
-    for ((l, got), (expected_json, expected_digest)) in
-        loads.iter().zip(&outcome.reports).zip(expected)
-    {
-        assert_eq!(got.tenant, l.name);
-        assert_eq!(
-            &got.report_json, expected_json,
-            "{what}: report diverged for {} (owners {owners}, seed {seed})",
-            l.name
-        );
-        assert_eq!(
-            got.image_digest, *expected_digest,
-            "{what}: digest diverged for {} (owners {owners}, seed {seed})",
-            l.name
-        );
-    }
     cluster
 }
 
-fn main() {
-    let scale = scale_from_args();
+pub fn sweep(scale: Scale) {
     let seeds: u64 = match scale {
-        hds_workloads::Scale::Test => 3,
-        hds_workloads::Scale::Paper => 8,
+        Scale::Test => 3,
+        Scale::Paper => 8,
     };
     let kill_polls: &[u64] = &[5, 11, 19];
     let fleet_sizes: &[u32] = &[2, 4, 8];

@@ -1,5 +1,4 @@
-//! Chaos-crash harness: the supervised optimizer under seeded kill
-//! schedules.
+//! The supervised optimizer under seeded kill schedules.
 //!
 //! Runs the benchmark suite through the full optimize cycle with
 //! checkpointing on while a seeded [`FaultPlan::crashy`] schedule kills
@@ -7,8 +6,7 @@
 //! background-analysis schedules), and the `hds-engine` supervisor
 //! restarts it from its last snapshot. Every schedule asserts:
 //!
-//! 1. **no panic** — the supervised lineage completes under
-//!    `catch_unwind`;
+//! 1. **no panic**;
 //! 2. **exact reconciliation** — the `MetricsRecorder`'s
 //!    `RecoverySnapshot` / `RecoveryRestart` / `RecoveryReplay` counts
 //!    agree with the final `RunReport`'s `snapshots` and `restarts`
@@ -19,22 +17,16 @@
 //!    fault stream, no kill schedule).
 //!
 //! The sweep also asserts coverage: across the schedules, every
-//! [`CrashPoint`] class fired at least once, and at least one schedule
-//! actually restarted. A final regression pins the fault-composition
-//! invariant: a crash landing inside an already-injected failed edit
-//! rolls the edit back exactly once — the supervised all-edits-fail
-//! run still degrades to the crash-free all-edits-fail twin.
-//!
-//! Failures print the offending seed so the schedule replays exactly.
-//!
-//! Run: `cargo run --release -p hds-bench --bin chaos_crash`
-//! (options: `--schedules <n>`, default 100).
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! [`CrashPoint`] class the executor reaches fired at least once, and
+//! at least one schedule actually restarted. A final regression pins
+//! the fault-composition invariant: a crash landing inside an
+//! already-injected failed edit rolls the edit back exactly once — the
+//! supervised all-edits-fail run still degrades to the crash-free
+//! all-edits-fail twin.
 
 use hds_core::{
     AccuracyConfig, AnalysisConcurrency, CrashPoint, FaultInjector, FaultPlan, GuardConfig,
-    OptimizerConfig, PrefetchPolicy, RunMode, RunReport, SessionBuilder,
+    OptimizerConfig, PrefetchPolicy, RunReport, SessionBuilder,
 };
 use hds_engine::{supervise, SupervisorPolicy};
 use hds_guard::FaultRates;
@@ -43,18 +35,7 @@ use hds_trace::DataRef;
 use hds_vulcan::{EditError, Event, Procedure};
 use hds_workloads::{benchmark, Benchmark, Scale};
 
-fn schedules_from_args() -> u64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--schedules" {
-            return args.next().and_then(|n| n.parse().ok()).unwrap_or_else(|| {
-                eprintln!("bad --schedules value; using 100");
-                100
-            });
-        }
-    }
-    100
-}
+use crate::{assert_exercised, reconcile, seed_sweep, MODE};
 
 /// A [`FaultPlan`] wrapper that additionally counts which kill-point
 /// class each fired crash came from, for the sweep's coverage
@@ -158,18 +139,19 @@ fn crash_free_twin(
     (session.finish("chaos-crash"), digest)
 }
 
-struct ScheduleResult {
+/// What one schedule did: crashes, restarts, snapshots, and kills per
+/// [`CrashPoint`] class.
+struct Counts {
     crashes: u64,
     restarts: u64,
     snapshots: u64,
     fired: [u64; 4],
-    mismatches: Vec<String>,
 }
 
 /// One schedule: supervise `which` under the seed's kill schedule, then
 /// reconcile telemetry against the report and compare bit-for-bit with
 /// the crash-free twin.
-fn run_schedule(seed: u64, which: Benchmark) -> ScheduleResult {
+fn run_schedule(seed: u64, which: Benchmark) -> (Counts, Vec<String>) {
     let config = config_for(seed);
     let (events, procs) = events_of(which);
     let (twin, twin_digest) = crash_free_twin(&config, &events, &procs, seed);
@@ -178,7 +160,7 @@ fn run_schedule(seed: u64, which: Benchmark) -> ScheduleResult {
     let mut metrics = MetricsRecorder::new();
     let outcome = supervise(
         &config,
-        RunMode::Optimize(PrefetchPolicy::StreamTail),
+        MODE,
         &procs,
         &events,
         "chaos-crash",
@@ -187,20 +169,21 @@ fn run_schedule(seed: u64, which: Benchmark) -> ScheduleResult {
         &mut plan,
     );
 
-    let mut mismatches = Vec::new();
     let Some(report) = outcome.report.as_ref() else {
-        mismatches.push("supervisor gave up inside the crash budget".to_string());
-        return ScheduleResult {
+        let counts = Counts {
             crashes: u64::from(plan.inner.crashes_fired()),
             restarts: u64::from(outcome.restarts),
             snapshots: 0,
             fired: plan.fired,
-            mismatches,
         };
+        return (
+            counts,
+            vec!["supervisor gave up inside the crash budget".to_string()],
+        );
     };
 
     // Exact reconciliation: observer counters vs report vs outcome.
-    let checks: [(&str, u64, u64); 4] = [
+    let mut mismatches = reconcile(&[
         ("snapshots", metrics.recovery_snapshots(), report.snapshots),
         ("restarts", metrics.recovery_restarts(), report.restarts),
         (
@@ -213,12 +196,7 @@ fn run_schedule(seed: u64, which: Benchmark) -> ScheduleResult {
             metrics.recovery_replays(),
             u64::from(outcome.restarts),
         ),
-    ];
-    for (what, observed, reported) in checks {
-        if observed != reported {
-            mismatches.push(format!("{what}: observer {observed} != report {reported}"));
-        }
-    }
+    ]);
 
     // Bit-identical recovery: normalize the restart count (the only
     // field a crash lineage is allowed to differ in) and compare.
@@ -237,13 +215,13 @@ fn run_schedule(seed: u64, which: Benchmark) -> ScheduleResult {
         _ => {}
     }
 
-    ScheduleResult {
+    let counts = Counts {
         crashes: u64::from(plan.inner.crashes_fired()),
         restarts: report.restarts,
         snapshots: report.snapshots,
         fired: plan.fired,
-        mismatches,
-    }
+    };
+    (counts, mismatches)
 }
 
 /// The fault-composition regression: every edit fails *and* every
@@ -282,7 +260,7 @@ fn assert_crash_inside_failed_edit_rolls_back_once(seed: u64, which: Benchmark) 
     let mut plan = FaultPlan::with_rates(seed, rates).with_max_crashes(2);
     let outcome = supervise(
         &config,
-        RunMode::Optimize(PrefetchPolicy::StreamTail),
+        MODE,
         &procs,
         &events,
         "chaos-crash",
@@ -316,38 +294,16 @@ fn assert_crash_inside_failed_edit_rolls_back_once(seed: u64, which: Benchmark) 
     assert_eq!(normalized.breakdown.optimize, 0);
 }
 
-fn main() {
-    let schedules = schedules_from_args();
+pub fn sweep(schedules: u64) {
     println!("chaos-crash: {schedules} seeded kill schedules over the supervised optimizer");
-
-    let mut panics = 0u64;
-    let mut failures = 0u64;
-    let mut total_crashes = 0u64;
-    let mut total_restarts = 0u64;
-    let mut total_snapshots = 0u64;
+    let (mut crashes, mut restarts, mut snapshots) = (0u64, 0u64, 0u64);
     let mut fired = [0u64; 4];
-
-    for seed in 0..schedules {
-        let which = Benchmark::ALL[(seed % Benchmark::ALL.len() as u64) as usize];
-        match catch_unwind(AssertUnwindSafe(|| run_schedule(seed, which))) {
-            Ok(r) => {
-                total_crashes += r.crashes;
-                total_restarts += r.restarts;
-                total_snapshots += r.snapshots;
-                for (acc, n) in fired.iter_mut().zip(r.fired) {
-                    *acc += n;
-                }
-                if !r.mismatches.is_empty() {
-                    failures += 1;
-                    for m in &r.mismatches {
-                        eprintln!("[seed {seed}] {}: {m}", which.name());
-                    }
-                }
-            }
-            Err(_) => {
-                panics += 1;
-                eprintln!("[seed {seed}] {}: PANIC", which.name());
-            }
+    for c in seed_sweep(schedules, run_schedule) {
+        crashes += c.crashes;
+        restarts += c.restarts;
+        snapshots += c.snapshots;
+        for (acc, n) in fired.iter_mut().zip(c.fired) {
+            *acc += n;
         }
     }
 
@@ -360,29 +316,19 @@ fn main() {
     );
 
     println!(
-        "schedules {schedules}: {total_crashes} crashes, {total_restarts} restarts, \
-         {total_snapshots} snapshots"
+        "schedules {schedules}: {crashes} crashes, {restarts} restarts, {snapshots} snapshots"
     );
     for (point, n) in CrashPoint::ALL.iter().zip(fired) {
         println!("  kill point {point}: {n} fired");
     }
-    assert_eq!(panics, 0, "{panics} schedules panicked");
-    assert_eq!(
-        failures, 0,
-        "{failures} schedules failed reconciliation or bit-identity"
-    );
-    assert!(
-        total_restarts > 0,
-        "no schedule ever restarted — the kill schedules are not exercising recovery"
-    );
+    assert_exercised("a restart", restarts);
     for (point, n) in CrashPoint::ALL.iter().zip(fired) {
         // Mid-frame kills live in the serving layer's chunk pump, which
-        // the single-process executor never reaches; chaos_serve covers
-        // that class.
-        if *point == CrashPoint::MidFrame {
-            continue;
+        // the single-process executor never reaches; the serve crate's
+        // chaos_serve tests cover that class.
+        if *point != CrashPoint::MidFrame {
+            assert_exercised(format!("kill point {point}"), n);
         }
-        assert!(n > 0, "kill point {point} never fired across the sweep");
     }
     println!("chaos-crash: OK — every lineage recovered bit-identically");
 }

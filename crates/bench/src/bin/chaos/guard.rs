@@ -1,4 +1,4 @@
-//! Chaos harness: the optimizer under seeded fault schedules.
+//! The optimizer under seeded fault schedules.
 //!
 //! Runs the benchmark suite through the full optimize cycle while a
 //! seeded [`FaultPlan`] corrupts traced references, truncates trace
@@ -7,7 +7,7 @@
 //! with budget guards and the accuracy-driven deoptimization policy
 //! enabled on a rotating subset of schedules. Every schedule asserts:
 //!
-//! 1. **no panic** — the run completes under `catch_unwind`;
+//! 1. **no panic**;
 //! 2. **exact reconciliation** — the `MetricsRecorder` counters agree
 //!    with the final `RunReport` (prefetches, cycles, outcome fates,
 //!    guard trips, partial deopts);
@@ -16,35 +16,18 @@
 //!    (nothing was ever installed, so nothing optimized-and-broken
 //!    remains behind).
 //!
-//! Failures print the offending seed so the schedule replays exactly.
-//!
-//! Run: `cargo run --release -p hds-bench --bin chaos`
-//! (options: `--schedules <n>`, default 100; `--bench-json <path>` to
-//! also write the guards-off-is-free comparison as JSON).
+//! The guards-off-is-free claim lands in `results/BENCH_guard.json`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
+use hds_bench::write_bench;
 use hds_core::{
     AccuracyConfig, FaultPlan, GuardConfig, OptimizerConfig, PrefetchPolicy, SessionBuilder,
 };
-use hds_flight::RunMeta;
 use hds_telemetry::events::PrefetchFate;
 use hds_telemetry::MetricsRecorder;
 use hds_workloads::{benchmark, Benchmark, Scale};
 use serde::{Serialize, Value};
 
-fn schedules_from_args() -> u64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--schedules" {
-            return args.next().and_then(|n| n.parse().ok()).unwrap_or_else(|| {
-                eprintln!("bad --schedules value; using 100");
-                100
-            });
-        }
-    }
-    100
-}
+use crate::{assert_exercised, reconcile, seed_sweep};
 
 /// The guard configuration for schedule `seed`: a rotation over off,
 /// generous (enabled but rarely binding), and tight (budgets small
@@ -83,17 +66,13 @@ fn guard_for(seed: u64) -> GuardConfig {
     }
 }
 
-struct ScheduleResult {
-    faults_fired: u64,
-    guard_trips: u64,
-    partial_deopts: u64,
-    cycles: usize,
-    mismatches: Vec<String>,
-}
+/// What one schedule did: faults fired, guard trips, partial deopts,
+/// optimization cycles.
+type Counts = [u64; 4];
 
-/// One schedule: run `bench` under the seed's fault plan and guard
+/// One schedule: run `which` under the seed's fault plan and guard
 /// configuration, then reconcile observer counters against the report.
-fn run_schedule(seed: u64, which: Benchmark) -> ScheduleResult {
+fn run_schedule(seed: u64, which: Benchmark) -> (Counts, Vec<String>) {
     let mut config = OptimizerConfig::test_scale();
     config.guard = guard_for(seed);
     let mut plan = FaultPlan::from_seed(seed);
@@ -112,7 +91,7 @@ fn run_schedule(seed: u64, which: Benchmark) -> ScheduleResult {
     // `prefetches_useful` in MemStats; each telemetry outcome carries
     // exactly one fate (same identity telemetry_demo checks).
     let useful_fates = report.mem.prefetches_useful - report.mem.prefetches_late;
-    let checks: [(&str, u64, u64); 8] = [
+    let mismatches = reconcile(&[
         (
             "prefetches issued",
             rec.prefetches_issued(),
@@ -149,22 +128,14 @@ fn run_schedule(seed: u64, which: Benchmark) -> ScheduleResult {
             rec.partial_deopts(),
             report.partial_deopts,
         ),
+    ]);
+    let counts = [
+        plan.counts().total(),
+        report.guard_trips,
+        report.partial_deopts,
+        report.cycles.len() as u64,
     ];
-    let mismatches = checks
-        .iter()
-        .filter(|(_, observed, reported)| observed != reported)
-        .map(|(what, observed, reported)| {
-            format!("{what}: observer {observed} != report {reported}")
-        })
-        .collect();
-
-    ScheduleResult {
-        faults_fired: plan.counts().total(),
-        guard_trips: report.guard_trips,
-        partial_deopts: report.partial_deopts,
-        cycles: report.cycles.len(),
-        mismatches,
-    }
+    (counts, mismatches)
 }
 
 /// The degradation invariant: with every edit failing (and the edit
@@ -209,21 +180,11 @@ fn assert_failed_edits_match_analyze(seed: u64, which: Benchmark) {
     assert_eq!(faulted.mem.prefetches_issued, 0);
 }
 
-fn bench_json_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--bench-json" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
-
 /// The guards-off-is-free claim, as data: for every benchmark, the
 /// default configuration (`GuardConfig::disabled()`) and a build of the
 /// same run with guards *enabled but never binding* must report
 /// identical cycle costs and memory behaviour.
-fn write_bench_json(path: &std::path::Path) {
+fn write_guards_off_is_free() {
     #[derive(serde::Serialize)]
     struct Row {
         benchmark: &'static str,
@@ -280,56 +241,26 @@ fn write_bench_json(path: &std::path::Path) {
             l1_misses_on: on.mem.l1_misses,
         });
     }
-    let result = Value::Obj(vec![
-        ("record".to_string(), Value::Str("bench_guard".to_string())),
-        // Guard rotation spans two configs: no one fingerprint applies.
-        ("meta".to_string(), RunMeta::capture(None).to_value()),
-        (
-            "rows".to_string(),
-            Value::Arr(rows.iter().map(Serialize::to_value).collect()),
-        ),
-    ]);
-    let json = serde_json::to_string_pretty(&result).expect("serializing bench rows");
-    std::fs::write(path, json + "\n").expect("writing --bench-json file");
     println!(
-        "bench-json: guards-off == guards-on-untripped on all {} benchmarks -> {}",
-        rows.len(),
-        path.display()
+        "guards off == guards on but untripped on all {} benchmarks",
+        rows.len()
+    );
+    // Guard rotation spans two configs: no one fingerprint applies.
+    write_bench(
+        "guard",
+        None,
+        vec![(
+            "rows",
+            Value::Arr(rows.iter().map(Serialize::to_value).collect()),
+        )],
     );
 }
 
-fn main() {
-    let schedules = schedules_from_args();
+pub fn sweep(schedules: u64) {
     println!("chaos: {schedules} seeded fault schedules over the benchmark suite");
-
-    let mut panics = 0u64;
-    let mut reconcile_failures = 0u64;
-    let mut total_faults = 0u64;
-    let mut total_trips = 0u64;
-    let mut total_partial_deopts = 0u64;
-    let mut total_cycles = 0usize;
-
-    for seed in 0..schedules {
-        let which = Benchmark::ALL[(seed % Benchmark::ALL.len() as u64) as usize];
-        match catch_unwind(AssertUnwindSafe(|| run_schedule(seed, which))) {
-            Ok(r) => {
-                total_faults += r.faults_fired;
-                total_trips += r.guard_trips;
-                total_partial_deopts += r.partial_deopts;
-                total_cycles += r.cycles;
-                if !r.mismatches.is_empty() {
-                    reconcile_failures += 1;
-                    for m in &r.mismatches {
-                        eprintln!("[seed {seed}] {}: {m}", which.name());
-                    }
-                }
-            }
-            Err(_) => {
-                panics += 1;
-                eprintln!("[seed {seed}] {}: PANIC", which.name());
-            }
-        }
-    }
+    let totals = seed_sweep(schedules, run_schedule)
+        .into_iter()
+        .fold([0u64; 4], |acc, c| std::array::from_fn(|i| acc[i] + c[i]));
 
     // The degradation invariant across the whole suite (one seed each).
     for (i, which) in Benchmark::ALL.iter().enumerate() {
@@ -339,23 +270,13 @@ fn main() {
         "degradation: failed-edit runs match the analyze baseline on all {} benchmarks",
         Benchmark::ALL.len()
     );
+    write_guards_off_is_free();
 
-    if let Some(path) = bench_json_path() {
-        write_bench_json(&path);
-    }
-
+    let [faults, trips, partial_deopts, cycles] = totals;
     println!(
-        "schedules {schedules}: {total_faults} faults fired, {total_trips} guard trips, \
-         {total_partial_deopts} partial deopts, {total_cycles} optimization cycles"
+        "schedules {schedules}: {faults} faults fired, {trips} guard trips, \
+         {partial_deopts} partial deopts, {cycles} optimization cycles"
     );
-    assert_eq!(panics, 0, "{panics} schedules panicked");
-    assert_eq!(
-        reconcile_failures, 0,
-        "{reconcile_failures} schedules failed telemetry reconciliation"
-    );
-    assert!(
-        total_faults > 0,
-        "no schedule ever fired a fault — the harness is not exercising anything"
-    );
+    assert_exercised("a fault", faults);
     println!("chaos: OK — no panics, exact reconciliation on every schedule");
 }

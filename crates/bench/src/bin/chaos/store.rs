@@ -1,4 +1,4 @@
-//! Durable-store chaos sweep: ≥100 seeded fault schedules proving the
+//! The durable-store sweep: ≥100 seeded fault schedules proving the
 //! crash-safety contract of `hds-store` end to end — kill the process
 //! mid-spill, mid-compaction, and mid-manifest-swap (then crash the
 //! page cache and reopen), rot bytes on the medium, run whole scripts
@@ -28,16 +28,12 @@
 //!    with [`RejectCode::StoreFailed`] and the driver replays from
 //!    scratch like a real client, so final reports stay byte-identical
 //!    to standalone runs and every counter reconciles with telemetry.
-//!
-//! Run: `cargo run --release -p hds-bench --bin chaos_store`
-//! (add `--test-scale` for the fast smoke run).
 
 use std::collections::BTreeMap;
 
-use hds_bench::scale_from_args;
-use hds_core::{OptimizerConfig, PrefetchPolicy, RunMode, RunReport};
 use hds_guard::ServeBudgets;
-use hds_serve::load::{generate, standalone_reference, LoadConfig, TenantLoad};
+use hds_serve::client::TenantReport;
+use hds_serve::load::{generate, LoadConfig, TenantLoad};
 use hds_serve::{Frame, RejectCode, ServeConfig, SessionManager};
 use hds_store::{
     FaultyStorage, MemStorage, Store, StoreConfig, StoreError, StoreFault, StoreFaultPlan,
@@ -46,6 +42,8 @@ use hds_store::{
 use hds_telemetry::MetricsRecorder;
 use hds_vulcan::{Event, ProcId, Procedure};
 use hds_workloads::Scale;
+
+use crate::{assert_identical, references, tiny_config, MODE};
 
 /// Kill-sweep schedules (family 1).
 const KILLS: u64 = 56;
@@ -506,19 +504,9 @@ fn drive_serve(
     restarts
 }
 
-fn tiny_config() -> OptimizerConfig {
-    let mut c = OptimizerConfig::test_scale();
-    c.bursty = hds_bursty::BurstyConfig::new(8, 8, 2, 3);
-    c.analysis.min_length = 4;
-    c.analysis.min_unique_refs = 2;
-    c
-}
-
 /// Family 4: serve-path schedules on a hostile disk. Returns
 /// (restarts, store_faults, spilled) accumulated over the block.
 fn serve_sweep(scale: Scale) -> (u64, u64, u64) {
-    let config = tiny_config();
-    let mode = RunMode::Optimize(PrefetchPolicy::StreamTail);
     let load_cfg = match scale {
         Scale::Test => LoadConfig {
             tenants: 3,
@@ -534,10 +522,7 @@ fn serve_sweep(scale: Scale) -> (u64, u64, u64) {
         },
     };
     let loads = generate(&load_cfg).expect("load config is non-degenerate");
-    let refs: BTreeMap<String, (RunReport, u64)> = loads
-        .iter()
-        .map(|l| (l.name.clone(), standalone_reference(&config, mode, l)))
-        .collect();
+    let refs = references(&loads);
     let (mut restarts, mut faults, mut spills) = (0u64, 0u64, 0u64);
     for i in 0..SERVE {
         let what = format!("serve[{i}]");
@@ -555,7 +540,7 @@ fn serve_sweep(scale: Scale) -> (u64, u64, u64) {
         } else {
             ServeBudgets::disabled()
         };
-        let cfg = ServeConfig::new(config.clone(), mode)
+        let cfg = ServeConfig::new(tiny_config(), MODE)
             .with_shards(2)
             .with_budgets(budgets);
         let mut manager =
@@ -585,19 +570,23 @@ fn serve_sweep(scale: Scale) -> (u64, u64, u64) {
             loads.len(),
             "{what}: missing outcomes"
         );
-        for outcome in &report.outcomes {
-            let (expected_report, expected_digest) = &refs[&outcome.tenant];
-            assert_eq!(
-                &outcome.report, expected_report,
-                "{what}: report diverged for {}",
-                outcome.tenant
-            );
-            assert_eq!(
-                outcome.image_digest, *expected_digest,
-                "{what}: digest diverged for {}",
-                outcome.tenant
-            );
-        }
+        // Shards finish tenants in shard order; compare in load order.
+        let served: Vec<TenantReport> = refs
+            .iter()
+            .map(|r| {
+                let o = report
+                    .outcomes
+                    .iter()
+                    .find(|o| o.tenant == r.tenant)
+                    .unwrap_or_else(|| panic!("{what}: no outcome for {}", r.tenant));
+                TenantReport {
+                    tenant: o.tenant.clone(),
+                    report_json: serde_json::to_string(&o.report).expect("report serialises"),
+                    image_digest: o.image_digest,
+                }
+            })
+            .collect();
+        assert_identical(&what, &served, &refs);
         report
             .reconciles(manager.observer())
             .unwrap_or_else(|e| panic!("{what}: telemetry does not reconcile: {e}"));
@@ -607,7 +596,7 @@ fn serve_sweep(scale: Scale) -> (u64, u64, u64) {
     // The quiet memory-bound schedule: hibernate everything, assert
     // resident memory collapses to zero — the tenant population lives
     // on disk, not in RAM.
-    let cfg = ServeConfig::new(config.clone(), mode).with_shards(2);
+    let cfg = ServeConfig::new(tiny_config(), MODE).with_shards(2);
     let mut manager =
         SessionManager::with_observer(cfg, MetricsRecorder::new()).expect("valid serve config");
     manager.attach_store(
@@ -651,8 +640,7 @@ fn serve_sweep(scale: Scale) -> (u64, u64, u64) {
     (restarts, faults, spills)
 }
 
-fn main() {
-    let scale = scale_from_args();
+pub fn sweep(scale: Scale) {
     let expected = expected_final();
     let versions = all_versions();
     let ops_total = script_mutating_ops();

@@ -17,7 +17,9 @@
 //! `--trace-out <path>` to export the run's span timeline as
 //! Perfetto/chrome-trace JSON).
 
-use hds_bench::{jsonl_path_from_args, print_table, scale_from_args, trace_out_path_from_args};
+use hds_bench::{
+    arg_after, jsonl_path_from_args, print_table, scale_from_args, trace_out_path_from_args,
+};
 use hds_core::{GuardConfig, OptimizerConfig, PrefetchPolicy, SessionBuilder};
 use hds_flight::{perfetto, FlightRecorder};
 use hds_telemetry::events::{CycleEnd, Deoptimize, GuardTripped, PhaseTransition, PrefetchFate};
@@ -69,18 +71,16 @@ impl Observer for LiveTable {
 }
 
 fn benchmark_from_args() -> Benchmark {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--benchmark" {
-            let name = args.next().unwrap_or_default();
-            if let Some(b) = Benchmark::ALL.iter().find(|b| b.name() == name) {
-                return *b;
-            }
+    let Some(name) = arg_after("--benchmark") else {
+        return Benchmark::Mcf;
+    };
+    Benchmark::ALL
+        .into_iter()
+        .find(|b| b.name() == name)
+        .unwrap_or_else(|| {
             eprintln!("unknown benchmark {name:?}; using mcf");
-            return Benchmark::Mcf;
-        }
-    }
-    Benchmark::Mcf
+            Benchmark::Mcf
+        })
 }
 
 /// Minimal Prometheus text-format validation: every sample line must be

@@ -1,15 +1,46 @@
 //! Shared experiment-harness helpers for the figure/table binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md's experiment index). This library
-//! holds the common plumbing: running a benchmark under a mode, scale
-//! selection from the command line, and plain-text table formatting.
+//! paper's evaluation (see DESIGN.md's experiment index), or runs one
+//! benchmark or chaos sweep. This library holds the common plumbing:
+//! running a benchmark under a mode, command-line flags, plain-text
+//! table formatting, and the one writer of `results/BENCH_*.json`
+//! records.
 
 use hds_core::{OptimizerConfig, RunMode, RunReport, SessionBuilder};
+use hds_flight::RunMeta;
 use hds_memsim::prefetcher::Prefetcher;
 use hds_memsim::MemorySystem;
 use hds_vulcan::Event;
 use hds_workloads::{benchmark, Benchmark, Scale};
+use serde::{Serialize, Value};
+
+/// The value following `flag` in the process arguments
+/// (`--flag value`), if the flag is present.
+#[must_use]
+pub fn arg_after(flag: &str) -> Option<String> {
+    let mut args = std::env::args();
+    while let Some(a) = args.next() {
+        if a == flag {
+            return args.next();
+        }
+    }
+    None
+}
+
+/// The parsed value following `flag`, or `default` when the flag is
+/// absent.
+///
+/// # Panics
+///
+/// Panics when the value does not parse.
+#[must_use]
+pub fn parsed_arg<T: std::str::FromStr>(flag: &str, default: T) -> T {
+    arg_after(flag).map_or(default, |v| {
+        v.parse()
+            .unwrap_or_else(|_| panic!("{flag} takes a number, got {v:?}"))
+    })
+}
 
 /// Parses the run scale from the process arguments: `--test-scale`
 /// shrinks every run for smoke testing; the default is the experiment
@@ -34,13 +65,7 @@ pub fn json_from_args() -> bool {
 /// for one self-describing JSON record per run report.
 #[must_use]
 pub fn jsonl_path_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--jsonl" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
+    arg_after("--jsonl").map(std::path::PathBuf::from)
 }
 
 /// Parses `--trace-out <path>` from the process arguments: the
@@ -48,13 +73,50 @@ pub fn jsonl_path_from_args() -> Option<std::path::PathBuf> {
 /// flight-recorder spans.
 #[must_use]
 pub fn trace_out_path_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
+    arg_after("--trace-out").map(std::path::PathBuf::from)
+}
+
+/// A JSON object from `(field, value)` pairs, fields in order.
+#[must_use]
+pub fn obj(fields: Vec<(&str, Value)>) -> Value {
+    Value::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// The `scale` field of a bench record: `"test"` or `"paper"`.
+#[must_use]
+pub fn scale_field(scale: Scale) -> (&'static str, Value) {
+    let name = match scale {
+        Scale::Test => "test",
+        Scale::Paper => "paper",
+    };
+    ("scale", Value::Str(name.to_string()))
+}
+
+/// Writes one bench record to `results/BENCH_<name>.json` and prints
+/// the path. The record is `record: "bench_<name>"`, then a
+/// [`RunMeta`] provenance stamp, then `fields` in order. `fingerprint`
+/// is the `config_fingerprint` of the one configuration every row ran
+/// under, or `None` for a record that spans several.
+///
+/// # Panics
+///
+/// Panics if `results/` or the file cannot be written.
+pub fn write_bench(name: &str, fingerprint: Option<u64>, fields: Vec<(&str, Value)>) {
+    let mut record = vec![
+        ("record", Value::Str(format!("bench_{name}"))),
+        ("meta", RunMeta::capture(fingerprint).to_value()),
+    ];
+    record.extend(fields);
+    let json = serde_json::to_string_pretty(&obj(record)).expect("bench records serialise");
+    let path = format!("results/BENCH_{name}.json");
+    std::fs::create_dir_all("results").expect("creating results directory");
+    std::fs::write(&path, json + "\n").expect("writing results file");
+    println!("wrote {path}");
 }
 
 /// Writes `reports` to `path` as JSONL: one self-describing object per
@@ -69,7 +131,6 @@ pub fn write_reports_jsonl(
     source: &str,
     reports: &[RunReport],
 ) -> std::io::Result<()> {
-    use serde::{Serialize, Value};
     use std::io::Write as _;
     let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
     for r in reports {

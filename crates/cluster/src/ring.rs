@@ -1,36 +1,19 @@
 //! The owner-level consistent-hash ring.
 //!
-//! Same discipline as the shard ring inside `hds-serve`'s manager, one
-//! level up: each owner process contributes [`VNODES_PER_OWNER`]
-//! virtual points, a tenant key maps to the first point at or after it
-//! (wrapping), and adding or removing an owner therefore moves only
-//! the tenants whose arc changed hands — the property the live-handoff
-//! machinery depends on to keep membership changes cheap.
+//! Each owner process contributes [`VNODES_PER_OWNER`] virtual points,
+//! a tenant key maps to the first point at or after it (wrapping), and
+//! adding or removing an owner therefore moves only the tenants whose
+//! arc changed hands — the property the live-handoff machinery depends
+//! on to keep membership changes cheap. (Inside one owner the shard
+//! set never changes, so `hds-serve` places tenants by plain
+//! `mix(key) % shards` instead.) Both the points and the looked-up keys
+//! go through the [`mix`] finalizer, so short structured names spread
+//! evenly.
+
+use hds_trace::hash::{fnv1a64, mix};
 
 /// Virtual points each owner contributes to the ring.
 pub const VNODES_PER_OWNER: u32 = 64;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// FNV-1a's last byte gets only one multiply, so hashes of short
-/// structured names ("tenant-007", "owner-3-vnode-12") cluster badly
-/// on the ring. A splitmix64 finalizer gives both the points and the
-/// looked-up keys full avalanche.
-fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    x
-}
 
 /// A consistent-hash ring over owner process ids.
 #[derive(Clone, Debug, Default)]
@@ -119,6 +102,22 @@ mod tests {
             assert!(a.owner_for(key).is_some());
         }
         assert_eq!(a.owners(), &[1, 2, 3]);
+    }
+
+    /// Owner placement is part of the cluster's observable behaviour
+    /// (which owner a kill hits, what a join migrates): pinned so a
+    /// change to the shared hash or finalizer cannot move it silently.
+    #[test]
+    fn placement_is_pinned() {
+        let mut ring = OwnerRing::new();
+        for id in 0..4 {
+            ring.add(id);
+        }
+        let placed: Vec<u32> = keys(16)
+            .into_iter()
+            .map(|k| ring.owner_for(k).unwrap())
+            .collect();
+        assert_eq!(placed, [1, 2, 3, 3, 1, 0, 1, 1, 0, 0, 3, 3, 1, 1, 3, 0]);
     }
 
     #[test]

@@ -260,13 +260,24 @@ impl<O: Observer> Router<O> {
 
     // ----- membership -------------------------------------------------
 
-    /// Admits a new owner: its link attaches, it joins the ring, and
-    /// every tenant whose arc it took over starts a planned migration.
+    /// Admits a new owner: its link attaches, it joins the ring, every
+    /// route orphaned by a fleet-wide loss is rebuilt on its new home,
+    /// and every tenant whose arc it took over starts a planned
+    /// migration.
     pub fn join_owner(&mut self, owner: u32, transport: LoopbackTransport) {
         self.clock += 1;
         self.ring.add(owner);
         self.links.insert(owner, self.fresh_link(transport));
         self.cluster_instant(tev::ClusterEventKind::OwnerJoined, u64::from(owner));
+        let orphans: Vec<(String, u32)> = self
+            .routes
+            .iter()
+            .filter(|(_, r)| !r.finished() && !self.links.contains_key(&r.owner))
+            .map(|(name, r)| (name.clone(), r.owner))
+            .collect();
+        for (name, from) in orphans {
+            self.rehome_route(&name, from);
+        }
         self.plan_ring_migrations();
     }
 
@@ -377,25 +388,7 @@ impl<O: Observer> Router<O> {
             .map(|(name, _)| name.clone())
             .collect();
         for name in victims {
-            let key = tenant_key(&name);
-            let Some(dest) = self.ring.owner_for(key) else {
-                continue; // No survivors; the routes wait for a join.
-            };
-            if self.routes[&name].finished() {
-                self.routes.get_mut(&name).expect("present").owner = dest;
-                continue;
-            }
-            let replayed = self.rebuild_route(&name, dest);
-            self.tally.rehomes += 1;
-            self.cluster_instant(tev::ClusterEventKind::Rehomed, key);
-            if O::ENABLED {
-                self.obs.cluster_rehomed(&tev::ClusterRehomed {
-                    tenant: key,
-                    from_owner: owner,
-                    to_owner: dest,
-                    replayed_chunks: replayed,
-                });
-            }
+            self.rehome_route(&name, owner);
         }
         // Migrations that were headed *to* the dead owner re-target
         // their ring owner; a re-target onto the tenant's current
@@ -414,6 +407,32 @@ impl<O: Observer> Router<O> {
                 Some(h) if h != route.owner => Some(h),
                 _ => None,
             };
+        }
+    }
+
+    /// Moves one route off the dead owner `from` onto its ring owner,
+    /// rebuilding it there if unfinished. With no survivors the route
+    /// stays orphaned: chunks are journaled but not forwarded, and the
+    /// next join rebuilds it.
+    fn rehome_route(&mut self, name: &str, from: u32) {
+        let key = tenant_key(name);
+        let Some(dest) = self.ring.owner_for(key) else {
+            return;
+        };
+        if self.routes[name].finished() {
+            self.routes.get_mut(name).expect("present").owner = dest;
+            return;
+        }
+        let replayed = self.rebuild_route(name, dest);
+        self.tally.rehomes += 1;
+        self.cluster_instant(tev::ClusterEventKind::Rehomed, key);
+        if O::ENABLED {
+            self.obs.cluster_rehomed(&tev::ClusterRehomed {
+                tenant: key,
+                from_owner: from,
+                to_owner: dest,
+                replayed_chunks: replayed,
+            });
         }
     }
 
@@ -526,6 +545,16 @@ impl<O: Observer> Router<O> {
         }
     }
 
+    /// The fleet is empty: like an orphaned route, a new tenant waits
+    /// for a join — a retry-safe refusal, not a fatal reject.
+    fn no_owners(tenant: String) -> Vec<Frame> {
+        vec![Frame::Busy {
+            tenant,
+            budget: 0,
+            observed: 0,
+        }]
+    }
+
     fn open_session(&mut self, tenant: String, procedures: Vec<Procedure>) -> Vec<Frame> {
         if let Some(route) = self.routes.get(&tenant) {
             // Idempotent re-open on a reliable connection: answer the
@@ -546,7 +575,7 @@ impl<O: Observer> Router<O> {
             }];
         }
         let Some(owner) = self.ring.owner_for(tenant_key(&tenant)) else {
-            return Self::reject(RejectCode::Draining, "no owners in the ring");
+            return Self::no_owners(tenant);
         };
         let link = self.links.get_mut(&owner).expect("ring member has a link");
         link.add_tenant_streaming(&tenant, procedures.clone());
@@ -588,7 +617,7 @@ impl<O: Observer> Router<O> {
             }];
         }
         let Some(owner) = self.ring.owner_for(tenant_key(&tenant)) else {
-            return Self::reject(RejectCode::Draining, "no owners in the ring");
+            return Self::no_owners(tenant);
         };
         let link = self.links.get_mut(&owner).expect("ring member has a link");
         link.add_tenant_from_record(record.clone());
@@ -657,16 +686,12 @@ impl<O: Observer> Router<O> {
         route.last_seq = seq;
         route.chunks_since_refresh += 1;
         self.tally.chunks_admitted += 1;
-        if route.export.is_none() {
-            // Forward immediately; during a handoff the chunk is held
-            // and replayed at the destination instead.
+        // Forward immediately; during a handoff (or while orphaned) the
+        // chunk is held and replayed at the destination instead.
+        if let (None, Some(link)) = (route.export, self.links.get_mut(&route.owner)) {
             let chunk = route.journal[route.forwarded].clone();
             route.forwarded += 1;
-            let owner = route.owner;
-            self.links
-                .get_mut(&owner)
-                .expect("routed owner has a link")
-                .push_chunk(tenant, chunk);
+            link.push_chunk(tenant, chunk);
             self.maybe_refresh(tenant);
         }
         vec![Frame::Ack {
@@ -716,15 +741,11 @@ impl<O: Observer> Router<O> {
         }
         if !route.flush_requested {
             route.flush_requested = true;
-            if route.export.is_none() {
-                let owner = route.owner;
-                self.links
-                    .get_mut(&owner)
-                    .expect("routed owner has a link")
-                    .request_flush(tenant);
-            }
             // With an export in flight the flush is deferred until the
-            // record lands.
+            // record lands; an orphaned route flushes at its rebuild.
+            if let (None, Some(link)) = (route.export, self.links.get_mut(&route.owner)) {
+                link.request_flush(tenant);
+            }
         }
         Vec::new()
     }
@@ -736,8 +757,9 @@ impl<O: Observer> Router<O> {
         if route.finished() {
             return Self::reject(RejectCode::TenantFlushed, tenant);
         }
-        if route.export.is_some() {
-            // One export at a time; retry-safe refusal.
+        if route.export.is_some() || !self.links.contains_key(&route.owner) {
+            // One export at a time, and none while orphaned; retry-safe
+            // refusal.
             return vec![Frame::Busy {
                 tenant: tenant.to_string(),
                 budget: 1,

@@ -251,3 +251,44 @@ fn killing_the_export_source_mid_handoff_still_matches() {
         }
     });
 }
+
+/// Every owner dies mid-stream (re-homed, so the second kill leaves no
+/// survivor and the routes wait), then a fresh owner joins and rebuilds
+/// them from basis record plus journal: still byte-identical.
+#[test]
+fn losing_every_owner_then_joining_matches() {
+    let cluster = assert_cluster_matches_standalone(2, 0, 5, |poll, cluster| {
+        if poll == 10 {
+            for victim in [0, 1] {
+                cluster
+                    .kill_owner(victim, KillPolicy::Rehome)
+                    .expect("rehome never restarts");
+            }
+        }
+        if poll == 20 {
+            cluster.join_owner(5).expect("join boots");
+        }
+    });
+    // Both kills hit the live tenant: one re-home onto the survivor,
+    // one onto the joined owner.
+    assert_eq!(
+        cluster.router().tally().rehomes,
+        2,
+        "both kills must land before the streams finish"
+    );
+    assert_eq!(cluster.owner_ids(), vec![5]);
+    // With the fleet empty, the next tenant's open waits for the join
+    // too (retry-safe `Busy`) instead of failing the client.
+    assert_cluster_matches_standalone(2, 0, 5, |poll, cluster| {
+        if poll == 6 {
+            for victim in [0, 1] {
+                cluster
+                    .kill_owner(victim, KillPolicy::Rehome)
+                    .expect("rehome never restarts");
+            }
+        }
+        if poll == 12 {
+            cluster.join_owner(5).expect("join boots");
+        }
+    });
+}

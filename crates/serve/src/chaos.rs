@@ -9,10 +9,10 @@
 //! frame in the peer's reassembly buffer.
 //!
 //! Same seed, same faults: a chaos schedule is perfectly reproducible,
-//! which is what lets `chaos_net` assert that every recovered run is
-//! byte-identical to its fault-free twin. A fault budget
-//! ([`NetFaultPlan::with_max_faults`]) guarantees every schedule
-//! eventually goes quiet so retry loops converge.
+//! which is what lets the `chaos` bin's network sweep assert that
+//! every recovered run is byte-identical to its fault-free twin. A
+//! fault budget ([`NetFaultPlan::with_max_faults`]) guarantees every
+//! schedule eventually goes quiet so retry loops converge.
 
 use crate::transport::{Transport, TransportError};
 use crate::wire::Frame;

@@ -3,10 +3,10 @@
 //! loopback pair.
 //!
 //! This is the shared engine behind the chaos integration tests and
-//! the `chaos_net` bench: wire a [`ClientSession`] to a manager
-//! through a [`ChaosTransport`], interleave client steps with server
-//! ticks, and rebuild the connection (carrying the fault schedule
-//! across) whenever chaos kills it. The caller owns the manager, so it
+//! the `chaos` bin's network sweep: wire a [`ClientSession`] to a
+//! manager through a [`ChaosTransport`], interleave client steps with
+//! server ticks, and rebuild the connection (carrying the fault
+//! schedule across) whenever chaos kills it. The caller owns the manager, so it
 //! can configure auth/budgets/shards and read the [`crate::ServeReport`]
 //! and observer back afterwards.
 

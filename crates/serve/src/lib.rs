@@ -5,7 +5,7 @@
 //! crate turns the whole profile → analyze → optimize cycle into a
 //! *service*: many tenants stream trace events over a length-prefixed
 //! binary protocol ([`wire`], magic `HDSW`), a [`SessionManager`]
-//! consistently hashes them onto shards whose workers drive ordinary
+//! hashes them onto shards whose workers drive ordinary
 //! `SessionBuilder` pipelines, and each tenant eventually gets its
 //! [`hds_core::RunReport`] back — bit-identical to running alone,
 //! whatever the shard count and however often the tenant was LRU-
@@ -19,7 +19,7 @@
 //! * [`transport`] — the byte pipe: an in-process [`transport::loopback`]
 //!   pair by default, real TCP behind the `net` feature.
 //! * [`manager`] — the control plane (admission via
-//!   [`hds_guard::ServeBudgets`], LRU eviction, consistent hashing)
+//!   [`hds_guard::ServeBudgets`], LRU eviction, shard placement)
 //!   and the parallel shard pump.
 //! * [`report`] — the [`ServeReport`] aggregate, reconciling exactly
 //!   with the serve telemetry in [`hds_telemetry`].

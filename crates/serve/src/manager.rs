@@ -1,7 +1,7 @@
 //! The sharded multi-tenant session manager.
 //!
-//! Tenants are consistently hashed onto shards (64 virtual points per
-//! shard, so adding shards moves few tenants); each shard owns a
+//! Tenants are hashed onto shards ([`SessionManager::shard_for`]: the
+//! finalized tenant key modulo the shard count); each shard owns a
 //! bounded mailbox of work and the live [`Session`]s of its tenants.
 //! The manager alternates two phases that never overlap, which is what
 //! makes the whole front-end deterministic and race-free:
@@ -49,15 +49,12 @@ use hds_vulcan::{Event, Procedure};
 use crate::report::{ServeReport, ShardStats, TenantOutcome};
 use crate::wire::{Frame, RejectCode, ShardSummary, TenantStats, FEATURE_RELIABLE, WIRE_VERSION};
 
-/// Virtual points per shard on the consistent-hash ring.
-const VNODES_PER_SHARD: u32 = 64;
-
 /// The `a` argument of the `Crash` span instant a mid-frame shard kill
 /// leaves in the flight ring. Continues the core executor's crash-point
 /// numbering (0 = phase boundary, 1 = mid edit, 2 = mid handoff).
 const CRASH_MID_FRAME: u64 = 3;
 
-/// FNV-1a — the tenant key used for ring placement and telemetry.
+/// FNV-1a — the tenant key used for placement and telemetry.
 #[must_use]
 pub fn tenant_key(name: &str) -> u64 {
     fnv1a64(name.as_bytes())
@@ -429,7 +426,6 @@ pub struct SessionManager<O: Observer = NullObserver> {
     cfg: ServeConfig,
     obs: O,
     guard: ServeGuard,
-    ring: Vec<(u64, u32)>,
     shards: Vec<Shard>,
     tenants: BTreeMap<String, TenantControl>,
     clock: u64,
@@ -475,14 +471,6 @@ impl<O: Observer> SessionManager<O> {
         if cfg.workers == 0 {
             return Err(ServeConfigError::ZeroWorkers);
         }
-        let mut ring = Vec::with_capacity((cfg.shards * VNODES_PER_SHARD) as usize);
-        for s in 0..cfg.shards {
-            for v in 0..VNODES_PER_SHARD {
-                let point = tenant_key(&format!("shard-{s}-vnode-{v}"));
-                ring.push((point, s));
-            }
-        }
-        ring.sort_unstable();
         let shards = (0..cfg.shards)
             .map(|index| Shard {
                 index,
@@ -501,7 +489,6 @@ impl<O: Observer> SessionManager<O> {
             cfg,
             obs,
             guard,
-            ring,
             shards,
             tenants: BTreeMap::new(),
             clock: 0,
@@ -574,12 +561,12 @@ impl<O: Observer> SessionManager<O> {
         self.tenants.get(tenant).map(|c| c.backend)
     }
 
-    /// Which shard a tenant lands on (first ring point at or after the
-    /// tenant's key, wrapping).
+    /// Which shard a tenant lands on: the finalized key modulo the
+    /// shard count. A manager's shard set is fixed for its lifetime, so
+    /// no consistent-hash ring is needed at this level.
     #[must_use]
     pub fn shard_for(&self, key: u64) -> u32 {
-        let i = self.ring.partition_point(|&(point, _)| point < key);
-        self.ring[i % self.ring.len()].1
+        (hds_trace::hash::mix(key) % u64::from(self.cfg.shards)) as u32
     }
 
     /// Handles one client frame on the control plane, returning the

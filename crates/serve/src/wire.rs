@@ -261,7 +261,7 @@ impl From<CodecError> for FrameError {
 pub struct TenantStats {
     /// Tenant identifier.
     pub tenant: String,
-    /// The shard the tenant is consistently hashed onto.
+    /// The shard the tenant is hashed onto.
     pub shard: u32,
     /// Whether the tenant currently holds a live session slot.
     pub live: bool,

@@ -142,6 +142,21 @@ fn served_reports_match_standalone_across_shard_counts() {
             loads.len()
         );
         assert_outcomes_match(&manager, &loads);
+        // Byte-identity across shard counts only means something if
+        // the tenants actually spread: at least two shards pumped.
+        if shards > 1 {
+            let busy = manager
+                .observer()
+                .serve_per_shard()
+                .values()
+                .filter(|&&(frames, _)| frames > 0)
+                .count();
+            assert!(
+                busy >= 2,
+                "{shards} shards but only {busy} pumped frames: {:?}",
+                manager.observer().serve_per_shard()
+            );
+        }
     }
 }
 

@@ -3,12 +3,13 @@
 //!
 //! One implementation, used everywhere a stable checksum or index hash
 //! is needed: prefetch-backend table indexing (`hds-backend`), the
-//! serve-layer tenant key / consistent-hash ring / A/B arm draw, the
-//! `HDSW` wire-frame checksum, and the durable-store record CRC
-//! (`hds-store`). Consolidating the previously copy-pasted constants
-//! here means a typo in one call site can no longer silently fork the
-//! hash function (which would corrupt ring placement or reject every
-//! frame), and the constants are pinned by tests below.
+//! serve-layer tenant key / shard placement / A/B arm draw, the
+//! cluster's owner ring, the `HDSW` wire-frame checksum, and the
+//! durable-store record CRC (`hds-store`). Consolidating the previously
+//! copy-pasted constants here means a typo in one call site can no
+//! longer silently fork the hash function (which would corrupt
+//! placement or reject every frame), and the constants are pinned by
+//! tests below.
 
 /// FNV-1a offset basis (64-bit).
 pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -39,6 +40,23 @@ pub fn fnv1a32(bytes: &[u8]) -> u32 {
         h = h.wrapping_mul(FNV32_PRIME);
     }
     h
+}
+
+/// The splitmix64 finalizer: full avalanche over a 64-bit word.
+///
+/// FNV-1a's last byte gets only one multiply, so hashes of short
+/// structured names ("tenant-007", "owner-3-vnode-12") differ mostly in
+/// their low bits and cluster badly when used for placement. Placement
+/// (serve's shard choice, the cluster's owner ring) therefore runs
+/// every key through `mix` first.
+#[must_use]
+pub fn mix(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^= x >> 31;
+    x
 }
 
 /// Incremental FNV-1a 64-bit hasher, for call sites that hash
@@ -173,6 +191,16 @@ mod tests {
                 assert_eq!(h2.finish(), fnv1a64(&s));
             }
         }
+    }
+
+    #[test]
+    fn mix_pins_the_splitmix_constants() {
+        assert_eq!(mix(0), 0);
+        assert_eq!(mix(1), 0x5692_161d_100b_05e5);
+        // Keys one low bit apart land far apart.
+        let a = mix(fnv1a64(b"tenant-000"));
+        let b = mix(fnv1a64(b"tenant-001"));
+        assert!((a ^ b).count_ones() > 16);
     }
 
     #[test]
