@@ -26,7 +26,7 @@ test:
 	$(CARGO) test -q
 
 clippy:
-	$(CARGO) clippy --workspace -- -D warnings
+	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 ## One fast pass over every Criterion bench (includes observer_overhead,
 ## the zero-overhead-when-off check).

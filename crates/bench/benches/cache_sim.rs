@@ -56,6 +56,26 @@ fn bench(c: &mut Criterion) {
             mem.stats().prefetches_useful
         });
     });
+    // A stream tail: a burst of 16 prefetches, then the accesses that
+    // use them, so every access probes a populated in-flight table and
+    // the burst lands piecemeal as the accesses advance the clock.
+    group.bench_function("stream_tail_burst_16", |b| {
+        b.iter(|| {
+            let mut mem = MemorySystem::new(HierarchyConfig::pentium_iii());
+            let mut now = 0u64;
+            for burst in addrs.chunks(16) {
+                for &a in burst {
+                    now += 1;
+                    mem.prefetch_at(a, now);
+                }
+                for &a in burst {
+                    now += 3;
+                    now += mem.access_at(a, AccessKind::Load, now).cycles;
+                }
+            }
+            mem.stats().prefetches_useful
+        });
+    });
     group.finish();
 }
 

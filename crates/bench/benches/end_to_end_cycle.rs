@@ -26,6 +26,9 @@ fn bench(c: &mut Criterion) {
         ("baseline", RunMode::Baseline),
         ("profile", RunMode::Profile),
         ("analyze", RunMode::Analyze),
+        // Injected checks and DFSM steps but no prefetches: its gap to
+        // `analyze` is the per-reference injected-check lookup.
+        ("optimize_none", RunMode::Optimize(PrefetchPolicy::None)),
         ("dyn_pref", RunMode::Optimize(PrefetchPolicy::StreamTail)),
     ] {
         group.bench_with_input(BenchmarkId::new(name, refs), &mode, |b, &mode| {

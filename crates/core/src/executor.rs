@@ -396,7 +396,8 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
         let expected = config_fingerprint(&config, mode);
         let state = SessionState::from_snapshot(snapshot, expected)?;
         let mut mem = MemorySystem::new(config.hierarchy.clone());
-        mem.restore_state(&state.mem);
+        mem.restore_state(&state.mem)
+            .map_err(|e| SnapshotError::Malformed(format!("mem.{e}")))?;
         let mut tracer = BurstyTracer::new(config.bursty);
         tracer.restore_state(&state.tracer);
         let mut image = Image::new(procedures);
@@ -2724,7 +2725,7 @@ mod tests {
             reference.enable_checkpoints();
             let mut events = Vec::new();
             while let Some(e) = p.next_event() {
-                events.push(e.clone());
+                events.push(e);
                 reference.on_event(e);
             }
             let snap = reference.latest_snapshot().cloned();

@@ -809,8 +809,15 @@ mod tests {
         bytes
     }
 
-    #[test]
-    fn captured_snapshot_reencodes_byte_identically() {
+    /// A real phase-boundary capture of a background, accuracy-guarded
+    /// Dyn-pref session, with the config, mode and procedures that
+    /// resume it.
+    fn captured() -> (
+        OptimizerConfig,
+        RunMode,
+        Vec<hds_vulcan::Procedure>,
+        Snapshot,
+    ) {
         use hds_vulcan::ProgramSource;
         use hds_workloads::{SyntheticConfig, SyntheticWorkload, Workload};
 
@@ -818,26 +825,94 @@ mod tests {
         config.concurrency = crate::AnalysisConcurrency::Background;
         config.guard =
             hds_guard::GuardConfig::default().with_accuracy(hds_guard::AccuracyConfig::new());
-        let policy = crate::PrefetchPolicy::StreamTail;
+        let mode = RunMode::Optimize(crate::PrefetchPolicy::StreamTail);
         let mut w = SyntheticWorkload::new(SyntheticConfig {
             total_refs: 40_000,
             ..SyntheticConfig::default()
         });
+        let procedures = w.procedures();
         let mut session = crate::SessionBuilder::new(config.clone())
-            .procedures(w.procedures())
+            .procedures(procedures.clone())
             .checkpoints()
-            .optimize(policy)
+            .mode(mode)
             .build();
         while let Some(e) = w.next_event() {
             session.on_event(e);
         }
         let snap = session
             .latest_snapshot()
-            .expect("a phase boundary was captured");
-        let fingerprint = config_fingerprint(&config, RunMode::Optimize(policy));
-        let state = SessionState::from_snapshot(snap, fingerprint).unwrap();
+            .expect("a phase boundary was captured")
+            .clone();
+        (config, mode, procedures, snap)
+    }
+
+    #[test]
+    fn captured_snapshot_reencodes_byte_identically() {
+        let (config, mode, _, snap) = captured();
+        let fingerprint = config_fingerprint(&config, mode);
+        let state = SessionState::from_snapshot(&snap, fingerprint).unwrap();
         assert!(state.guard.is_some() && state.bg.is_some());
         assert_eq!(state.to_snapshot(fingerprint).as_bytes(), snap.as_bytes());
+    }
+
+    /// A checksummed snapshot whose memory state does not fit the
+    /// hierarchy resumes as `Malformed` naming the field — never a
+    /// panic, and never a cache whose sets spill into their neighbours.
+    #[test]
+    fn forged_memory_state_is_malformed_on_resume() {
+        type Forge = fn(&mut MemState, u64);
+        let (config, mode, procedures, snap) = captured();
+        let fingerprint = config_fingerprint(&config, mode);
+        let state = SessionState::from_snapshot(&snap, fingerprint).unwrap();
+        fn line(block: u64) -> LineState {
+            LineState {
+                block,
+                lru: 1,
+                ..LineState::default()
+            }
+        }
+        let cases: [(&str, Forge); 8] = [
+            ("mem.l1.sets: 127 sets, the cache has 128", |m, _| {
+                m.l1.sets.pop();
+            }),
+            ("mem.l2.sets: 1025 sets, the cache has 1024", |m, _| {
+                m.l2.sets.push(Vec::new());
+            }),
+            (
+                "mem.l1.sets: set 0 lists 5 lines, more than the ways",
+                |m, sets| m.l1.sets[0] = (0..5).map(|k| line(k * sets)).collect(),
+            ),
+            (
+                "mem.l1.sets: set 0 lists block 1, which maps to another set",
+                |m, _| m.l1.sets[0] = vec![line(1)],
+            ),
+            ("mem.l1.sets: set 0 lists block 0 twice", |m, _| {
+                m.l1.sets[0] = vec![line(0), line(0)];
+            }),
+            ("mem.in_flight: block 7 out of order", |m, _| {
+                m.in_flight = vec![(9, 1), (7, 1)];
+            }),
+            ("mem.in_flight: block 7 out of order", |m, _| {
+                m.in_flight = vec![(7, 1), (7, 2)];
+            }),
+            ("mem.pending: block 7 out of order", |m, _| {
+                m.pending = vec![(7, 0, 1), (7, 1, 1)];
+            }),
+        ];
+        for (want, forge) in cases {
+            let mut forged = state.clone();
+            forge(&mut forged.mem, config.hierarchy.l1.num_sets());
+            let resumed = crate::SessionBuilder::new(config.clone())
+                .procedures(procedures.clone())
+                .checkpoints()
+                .mode(mode)
+                .resume(&forged.to_snapshot(fingerprint));
+            match resumed {
+                Err(SnapshotError::Malformed(got)) => assert_eq!(got, want),
+                Err(e) => panic!("{want}: expected Malformed, got {e}"),
+                Ok(_) => panic!("{want}: the forged snapshot resumed"),
+            }
+        }
     }
 
     /// Checksummed payloads that break the layout are `Malformed` and

@@ -55,7 +55,7 @@ fn uninterrupted(
         .build();
     let mut mid = None;
     for e in events {
-        session.on_event(e.clone());
+        session.on_event(*e);
         if mid.is_none() && session.snapshots_taken() >= snapshot_at {
             mid = session.latest_snapshot().cloned();
         }
@@ -81,7 +81,7 @@ fn resume_from_mid_run_snapshot_is_bit_identical() {
             .expect("snapshot resumes");
         let skip = usize::try_from(resumed.events_consumed()).unwrap();
         for e in &events[skip..] {
-            resumed.on_event(e.clone());
+            resumed.on_event(*e);
         }
         assert_eq!(resumed.image_digest(), full_digest);
         let report = resumed.finish("recover");
@@ -123,7 +123,7 @@ fn checkpointing_is_timing_neutral() {
         .optimize(PrefetchPolicy::StreamTail)
         .build();
     for e in &events {
-        plain.on_event(e.clone());
+        plain.on_event(*e);
     }
     assert_eq!(plain.image_digest(), ck_digest);
     let mut plain = plain.finish("recover");
@@ -246,7 +246,7 @@ fn run_until_crash<F: FaultInjector>(
     events: &[Event],
 ) -> usize {
     for (i, e) in events.iter().enumerate() {
-        session.on_event(e.clone());
+        session.on_event(*e);
         if session.crashed() {
             return i + 1;
         }
@@ -298,7 +298,7 @@ fn torn_mid_edit_commit_rolls_forward_to_the_committed_image() {
     let fed = run_until_crash(&mut torn, &events);
     assert!(torn.crashed(), "mid-edit kill point never reached");
     for e in &events[..fed] {
-        clean.on_event(e.clone());
+        clean.on_event(*e);
     }
     // The torn image differs from the committed one (a strict prefix of
     // the patches landed)...
@@ -331,7 +331,7 @@ fn crash_on_an_already_failed_edit_rolls_back_exactly_once() {
     let fed = run_until_crash(&mut both, &events);
     assert!(both.crashed(), "mid-edit kill point never reached");
     for e in &events[..fed] {
-        rolled.on_event(e.clone());
+        rolled.on_event(*e);
     }
     // A poisoned commit rolls back atomically WITHOUT journaling, so
     // the crash must not have queued a second (replayed) rollback.
@@ -366,7 +366,7 @@ fn dropping_a_mid_awake_session_leaves_no_detached_worker() {
         .build();
     // Stop mid-awake (well before the first phase boundary).
     for e in &events[..200] {
-        session.on_event(e.clone());
+        session.on_event(*e);
     }
     let probe = session
         .worker_probe()
@@ -398,7 +398,7 @@ fn resumed_session_reports_restarts_when_marked() {
     resumed.mark_restarted(3, 8_000);
     let skip = usize::try_from(resumed.events_consumed()).unwrap();
     for e in &events[skip..] {
-        resumed.on_event(e.clone());
+        resumed.on_event(*e);
     }
     let report = resumed.finish("recover");
     assert_eq!(report.restarts, 3);

@@ -82,22 +82,6 @@ impl fmt::Display for CacheConfig {
     }
 }
 
-/// One cached block: its block number, LRU stamp, and whether it arrived
-/// by prefetch and has not been demand-used yet (for pollution
-/// accounting).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Line {
-    block: u64,
-    lru: u64,
-    prefetched_unused: bool,
-    /// The fill that brought this line in was a prefetch. Unlike
-    /// `prefetched_unused` this never clears on use, so hits can be
-    /// attributed to prefetched vs. demand-fetched lines.
-    origin_prefetched: bool,
-    /// Written since fill (write-back accounting).
-    dirty: bool,
-}
-
 /// What happened to a prefetched block when it left (or was used in) the
 /// cache — returned so the hierarchy can account usefulness/pollution
 /// and write-backs.
@@ -142,7 +126,16 @@ pub(crate) enum EvictedKind {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// An address's block is `addr >> block_shift`...
+    block_shift: u32,
+    /// ...and a block's set is `block & set_mask`.
+    set_mask: u64,
+    /// Every line, way `w` of set `s` at `s * assoc + w`. Allocated by
+    /// the first fill, so a cache that is never filled holds no lines.
+    lines: Vec<LineState>,
+    /// Resident ways per set: ways `0..filled[s]` of set `s` hold its
+    /// lines, in residency order.
+    filled: Vec<u32>,
     tick: u64,
 }
 
@@ -150,10 +143,12 @@ impl Cache {
     /// Creates an empty cache with the given geometry.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        let sets = vec![Vec::with_capacity(config.assoc as usize); config.num_sets() as usize];
         Cache {
             config,
-            sets,
+            block_shift: config.block_size.trailing_zeros(),
+            set_mask: config.num_sets() - 1,
+            lines: Vec::new(),
+            filled: vec![0; config.num_sets() as usize],
             tick: 0,
         }
     }
@@ -164,8 +159,27 @@ impl Cache {
         &self.config
     }
 
+    /// The block containing `addr`.
+    pub(crate) fn block_of(&self, addr: Addr) -> u64 {
+        addr.0 >> self.block_shift
+    }
+
     fn set_of(&self, block: u64) -> usize {
-        (block & (self.config.num_sets() - 1)) as usize
+        (block & self.set_mask) as usize
+    }
+
+    /// The resident lines of `set`, in residency order.
+    fn ways(&self, set: usize) -> &[LineState] {
+        let start = set * self.config.assoc as usize;
+        let end = start + self.filled[set] as usize;
+        self.lines.get(start..end).unwrap_or(&[])
+    }
+
+    /// Index into `lines` of the resident line holding `block`.
+    fn find(&self, block: u64) -> Option<usize> {
+        let set = self.set_of(block);
+        let way = self.ways(set).iter().position(|l| l.block == block)?;
+        Some(set * self.config.assoc as usize + way)
     }
 
     /// Probes and touches the block containing `addr`. Returns `true` on
@@ -177,85 +191,68 @@ impl Cache {
 
     /// Like [`Cache::access`], marking the line dirty when `write`.
     pub fn access_kind(&mut self, addr: Addr, write: bool) -> bool {
-        let block = addr.block(self.config.block_size);
+        self.touch(addr, write).is_some()
+    }
+
+    /// The one demand probe: advances the LRU clock and, on a hit,
+    /// refreshes the line, clears its prefetched-unused mark and dirties
+    /// it when `write`. Returns the line as it was *before* the touch
+    /// (so the caller sees both prefetch flags), or `None` on a miss.
+    pub(crate) fn touch(&mut self, addr: Addr, write: bool) -> Option<LineState> {
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_of(block);
-        for line in &mut self.sets[set] {
-            if line.block == block {
-                line.lru = tick;
-                line.prefetched_unused = false;
-                line.dirty |= write;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Is the block containing `addr` resident *and* still marked as an
-    /// unused prefetch? (No LRU update; used for usefulness accounting.)
-    pub(crate) fn line_is_unused_prefetch(&self, addr: Addr) -> bool {
-        let block = addr.block(self.config.block_size);
-        let set = self.set_of(block);
-        self.sets[set]
-            .iter()
-            .any(|l| l.block == block && l.prefetched_unused)
-    }
-
-    /// Was the resident line containing `addr` originally filled by a
-    /// prefetch? (No LRU update; persists across demand uses.)
-    pub(crate) fn line_origin_prefetched(&self, addr: Addr) -> bool {
-        let block = addr.block(self.config.block_size);
-        let set = self.set_of(block);
-        self.sets[set]
-            .iter()
-            .any(|l| l.block == block && l.origin_prefetched)
+        let i = self.find(self.block_of(addr))?;
+        let line = &mut self.lines[i];
+        let before = *line;
+        line.lru = self.tick;
+        line.prefetched_unused = false;
+        line.dirty |= write;
+        Some(before)
     }
 
     /// Is the block containing `addr` resident? (No LRU update.)
     #[must_use]
     pub fn contains(&self, addr: Addr) -> bool {
-        let block = addr.block(self.config.block_size);
-        let set = self.set_of(block);
-        self.sets[set].iter().any(|l| l.block == block)
+        self.find(self.block_of(addr)).is_some()
     }
 
     /// Inserts the block containing `addr`, evicting the LRU line of its
     /// set if full. `prefetched` marks the line for pollution accounting.
     /// Returns what was evicted.
     pub(crate) fn fill_tracked(&mut self, addr: Addr, prefetched: bool) -> Evicted {
-        let block = addr.block(self.config.block_size);
+        let block = self.block_of(addr);
         self.tick += 1;
         let tick = self.tick;
-        let set_idx = self.set_of(block);
-        let assoc = self.config.assoc as usize;
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.block == block) {
+        let none = Evicted {
+            kind: EvictedKind::None,
+            dirty: false,
+            block,
+        };
+        if let Some(i) = self.find(block) {
             // Already resident: refresh (a prefetch of a resident block
             // must not reset its used flag).
-            line.lru = tick;
-            return Evicted {
-                kind: EvictedKind::None,
-                dirty: false,
-                block,
-            };
+            self.lines[i].lru = tick;
+            return none;
         }
-        let new_line = Line {
+        let assoc = self.config.assoc as usize;
+        if self.lines.is_empty() {
+            self.lines = vec![LineState::default(); self.filled.len() * assoc];
+        }
+        let new_line = LineState {
             block,
             lru: tick,
             prefetched_unused: prefetched,
             origin_prefetched: prefetched,
             dirty: false,
         };
-        if set.len() < assoc {
-            set.push(new_line);
-            return Evicted {
-                kind: EvictedKind::None,
-                dirty: false,
-                block,
-            };
+        let set = self.set_of(block);
+        let start = set * assoc;
+        let filled = self.filled[set] as usize;
+        if filled < assoc {
+            self.lines[start + filled] = new_line;
+            self.filled[set] += 1;
+            return none;
         }
-        let victim = set
+        let victim = self.lines[start..start + assoc]
             .iter_mut()
             .min_by_key(|l| l.lru)
             .expect("nonempty full set");
@@ -280,16 +277,14 @@ impl Cache {
 
     /// Empties the cache (used between experiment runs).
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.filled.fill(0);
         self.tick = 0;
     }
 
     /// Number of resident blocks.
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.filled.iter().map(|&n| n as usize).sum()
     }
 
     /// Exports the cache's complete state (per-set lines in residency
@@ -298,58 +293,82 @@ impl Cache {
     pub fn export_state(&self) -> CacheState {
         CacheState {
             tick: self.tick,
-            sets: self
-                .sets
-                .iter()
-                .map(|set| {
-                    set.iter()
-                        .map(|l| LineState {
-                            block: l.block,
-                            lru: l.lru,
-                            prefetched_unused: l.prefetched_unused,
-                            origin_prefetched: l.origin_prefetched,
-                            dirty: l.dirty,
-                        })
-                        .collect()
-                })
+            sets: (0..self.filled.len())
+                .map(|set| self.ways(set).to_vec())
                 .collect(),
         }
     }
 
     /// Restores state exported by [`Cache::export_state`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the state's set count disagrees with this cache's
-    /// geometry (the state was exported from a different configuration).
-    pub fn restore_state(&mut self, state: &CacheState) {
-        assert_eq!(
-            state.sets.len(),
-            self.sets.len(),
-            "cache state set count mismatch"
-        );
-        self.tick = state.tick;
-        for (set, lines) in self.sets.iter_mut().zip(&state.sets) {
-            set.clear();
-            set.extend(lines.iter().map(|l| Line {
-                block: l.block,
-                lru: l.lru,
-                prefetched_unused: l.prefetched_unused,
-                origin_prefetched: l.origin_prefetched,
-                dirty: l.dirty,
-            }));
+    /// A [`StateError`] on field `sets`, leaving the cache untouched,
+    /// unless the state fits this geometry: one entry per set, at most
+    /// `assoc` lines in each, every line's block mapping to the set that
+    /// lists it, and no block listed twice.
+    pub fn restore_state(&mut self, state: &CacheState) -> Result<(), StateError> {
+        let sets = self.filled.len();
+        let fault = |problem| {
+            Err(StateError {
+                field: "sets",
+                problem,
+            })
+        };
+        if state.sets.len() != sets {
+            return fault(StateProblem::SetCount {
+                expected: sets,
+                found: state.sets.len(),
+            });
         }
+        let assoc = self.config.assoc as usize;
+        for (set, lines) in state.sets.iter().enumerate() {
+            if lines.len() > assoc {
+                return fault(StateProblem::OverfullSet {
+                    set,
+                    lines: lines.len(),
+                });
+            }
+            for (way, line) in lines.iter().enumerate() {
+                let block = line.block;
+                if self.set_of(block) != set {
+                    return fault(StateProblem::MisplacedBlock { set, block });
+                }
+                if lines[..way].iter().any(|l| l.block == block) {
+                    return fault(StateProblem::DuplicateBlock { set, block });
+                }
+            }
+        }
+        self.tick = state.tick;
+        self.filled.fill(0);
+        if self.lines.is_empty() && state.sets.iter().any(|s| !s.is_empty()) {
+            self.lines = vec![LineState::default(); sets * assoc];
+        }
+        for (set, lines) in state.sets.iter().enumerate().filter(|(_, l)| !l.is_empty()) {
+            self.lines[set * assoc..][..lines.len()].copy_from_slice(lines);
+            self.filled[set] = lines.len() as u32;
+        }
+        Ok(())
     }
 }
 
-/// One cached line's state, as exported by [`Cache::export_state`].
+/// One cached line: its block number, LRU stamp, and prefetch and
+/// write-back flags — the cache's own line record, exported as is by
+/// [`Cache::export_state`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
 pub struct LineState {
+    /// Block number.
     pub block: u64,
+    /// LRU stamp: the cache's tick at the line's last touch.
     pub lru: u64,
+    /// Arrived by prefetch and not demand-used yet (pollution
+    /// accounting).
     pub prefetched_unused: bool,
+    /// The fill that brought this line in was a prefetch. Unlike
+    /// `prefetched_unused` this never clears on use, so hits can be
+    /// attributed to prefetched vs. demand-fetched lines.
     pub origin_prefetched: bool,
+    /// Written since fill (write-back accounting).
     pub dirty: bool,
 }
 
@@ -362,6 +381,83 @@ pub struct CacheState {
     /// Lines per set, outer index = set index.
     pub sets: Vec<Vec<LineState>>,
 }
+
+/// Why an exported state does not fit the cache or hierarchy it is
+/// restored into.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StateError {
+    /// The offending field, as a path within the state (`sets`,
+    /// `l1.sets`, `in_flight`, `pending`).
+    pub field: &'static str,
+    /// What is wrong with it.
+    pub problem: StateProblem,
+}
+
+/// What is wrong with a field named by a [`StateError`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StateProblem {
+    /// The state lists `found` sets; the cache has `expected`.
+    SetCount {
+        /// Sets of the cache.
+        expected: usize,
+        /// Sets in the state.
+        found: usize,
+    },
+    /// A set lists more lines than the cache has ways.
+    OverfullSet {
+        /// The set.
+        set: usize,
+        /// Lines it lists.
+        lines: usize,
+    },
+    /// A set lists a block that maps to another set.
+    MisplacedBlock {
+        /// The set.
+        set: usize,
+        /// The block.
+        block: u64,
+    },
+    /// A set lists the same block twice.
+    DuplicateBlock {
+        /// The set.
+        set: usize,
+        /// The block.
+        block: u64,
+    },
+    /// Blocks must be strictly increasing and this one is not.
+    UnsortedBlock {
+        /// The block out of order.
+        block: u64,
+    },
+}
+
+impl fmt::Display for StateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: ", self.field)?;
+        match self.problem {
+            StateProblem::SetCount { expected, found } => {
+                write!(f, "{found} sets, the cache has {expected}")
+            }
+            StateProblem::OverfullSet { set, lines } => {
+                write!(f, "set {set} lists {lines} lines, more than the ways")
+            }
+            StateProblem::MisplacedBlock { set, block } => {
+                write!(
+                    f,
+                    "set {set} lists block {block}, which maps to another set"
+                )
+            }
+            StateProblem::DuplicateBlock { set, block } => {
+                write!(f, "set {set} lists block {block} twice")
+            }
+            StateProblem::UnsortedBlock { block } => {
+                write!(f, "block {block} out of order")
+            }
+        }
+    }
+}
+
+impl std::error::Error for StateError {}
 
 #[cfg(test)]
 mod tests {

@@ -1,11 +1,11 @@
 //! The two-level memory hierarchy with in-flight prefetches.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use hds_trace::{AccessKind, Addr};
 
-use crate::cache::{Cache, CacheConfig, EvictedKind};
+use crate::cache::{Cache, CacheConfig, CacheState, EvictedKind, StateError, StateProblem};
 use crate::cost::CostModel;
 
 /// Geometry and timing of the full hierarchy.
@@ -200,9 +200,18 @@ pub struct MemorySystem {
     config: HierarchyConfig,
     l1: Cache,
     l2: Cache,
-    /// Blocks in flight from prefetches: block number -> completion time.
-    in_flight: HashMap<u64, u64>,
-    /// Tracked (tagged) prefetched blocks awaiting resolution.
+    /// Blocks in flight from prefetches: block number -> completion
+    /// time. Ordered by block, the order they land in; the blocks come
+    /// from the trace, so they are never hashed.
+    in_flight: BTreeMap<u64, u64>,
+    /// No in-flight prefetch completes before this time (`u64::MAX` when
+    /// none is in flight). Never later than the earliest completion, so
+    /// an access with nothing due costs one comparison.
+    next_due: u64,
+    /// Tracked (tagged) prefetched blocks awaiting resolution. Every
+    /// tagged prefetch inserts and removes one, a churn at which std's
+    /// map measured faster than a `BTreeMap`; its keyed SipHash is not
+    /// a weak hasher, so trace-supplied blocks are safe here.
     pending: HashMap<u64, PendingPrefetch>,
     /// Resolved outcomes awaiting [`MemorySystem::take_outcomes`]. Only
     /// tagged prefetches produce entries, so untracked runs pay nothing.
@@ -217,7 +226,8 @@ impl MemorySystem {
         MemorySystem {
             l1: Cache::new(config.l1),
             l2: Cache::new(config.l2),
-            in_flight: HashMap::new(),
+            in_flight: BTreeMap::new(),
+            next_due: u64::MAX,
             pending: HashMap::new(),
             outcomes: Vec::new(),
             config,
@@ -247,14 +257,13 @@ impl MemorySystem {
     /// all in-flight prefetches have landed).
     pub fn access_at(&mut self, addr: Addr, kind: AccessKind, now: u64) -> AccessResult {
         let cost = self.config.cost;
-        let block = addr.block(self.config.l1.block_size);
+        let block = self.l1.block_of(addr);
         self.land_arrived(now);
 
         // Still in flight? Stall for the remainder, then treat as an L1
         // fill (prefetcht0 fills both levels).
-        if let Some(&done) = self.in_flight.get(&block) {
+        if let Some(done) = self.in_flight.remove(&block) {
             let remaining = done.saturating_sub(now);
-            self.in_flight.remove(&block);
             self.resolve(block, PrefetchFate::Late, now);
             self.fill_both(addr, false, now); // arrives used
             self.mark_if_store(addr, kind);
@@ -272,8 +281,17 @@ impl MemorySystem {
             };
         }
 
-        if self.l1_access_tracking(addr, kind == AccessKind::Store, now) {
+        if let Some(line) = self.l1.touch(addr, kind == AccessKind::Store) {
             self.stats.l1_hits += 1;
+            if line.origin_prefetched {
+                self.stats.l1_hits_on_prefetched += 1;
+            }
+            // The first demand hit on a prefetched line: a useful
+            // prefetch.
+            if line.prefetched_unused {
+                self.stats.prefetches_useful += 1;
+                self.resolve(block, PrefetchFate::Useful, now);
+            }
             let cycles = cost.l1_hit_cycles;
             self.stats.demand_cycles += cycles;
             return AccessResult {
@@ -335,7 +353,7 @@ impl MemorySystem {
         let cost = self.config.cost;
         self.land_arrived(now);
         self.stats.prefetches_issued += 1;
-        let block = addr.block(self.config.l1.block_size);
+        let block = self.l1.block_of(addr);
         if self.l1.contains(addr) {
             // Redundant prefetch: no effect beyond issue cost.
             return cost.prefetch_issue_cycles;
@@ -351,9 +369,11 @@ impl MemorySystem {
             self.fill_l1(addr, true, now);
             return cost.prefetch_issue_cycles;
         }
-        self.in_flight
+        let done = *self
+            .in_flight
             .entry(block)
             .or_insert(now.saturating_add(cost.memory_cycles));
+        self.next_due = self.next_due.min(done);
         cost.prefetch_issue_cycles
     }
 
@@ -371,6 +391,9 @@ impl MemorySystem {
 
     /// Resolves the tracked prefetch of `block`, if any.
     fn resolve(&mut self, block: u64, fate: PrefetchFate, now: u64) {
+        if self.pending.is_empty() {
+            return; // untracked runs never hash
+        }
         if let Some(p) = self.pending.remove(&block) {
             self.outcomes.push(PrefetchResolution {
                 tag: p.tag,
@@ -382,52 +405,25 @@ impl MemorySystem {
         }
     }
 
-    /// Moves completed in-flight prefetches into the caches.
+    /// Moves completed in-flight prefetches into the caches, in block
+    /// order, so a restored hierarchy fills (and evicts) identically.
     fn land_arrived(&mut self, now: u64) {
-        if self.in_flight.is_empty() {
+        if now < self.next_due || self.in_flight.is_empty() {
             return;
         }
         let block_size = self.config.l1.block_size;
-        let mut arrived: Vec<u64> = self
-            .in_flight
-            .iter()
-            .filter(|&(_, &t)| t <= now)
-            .map(|(&b, _)| b)
-            .collect();
-        // HashMap iteration order is per-instance random: land in block
-        // order so a restored hierarchy fills (and evicts) identically.
-        arrived.sort_unstable();
-        for block in arrived {
-            self.in_flight.remove(&block);
-            self.fill_both(Addr(block * block_size), true, now);
-        }
-    }
-
-    fn l1_access_tracking(&mut self, addr: Addr, write: bool, now: u64) -> bool {
-        // Count useful prefetches: a hit on a line still marked
-        // prefetched-unused.
-        let was_unused_prefetch = self.l1.contains(addr) && {
-            // Peek the flag by doing the access and comparing; Cache
-            // clears the flag on hit, so probe first.
-            self.l1_line_is_unused_prefetch(addr)
-        };
-        let origin_prefetched = self.l1.line_origin_prefetched(addr);
-        let hit = self.l1.access_kind(addr, write);
-        if hit {
-            if origin_prefetched {
-                self.stats.l1_hits_on_prefetched += 1;
+        let mut in_flight = std::mem::take(&mut self.in_flight);
+        let mut next_due = u64::MAX;
+        in_flight.retain(|&block, &mut done| {
+            if done > now {
+                next_due = next_due.min(done);
+                return true;
             }
-            if was_unused_prefetch {
-                self.stats.prefetches_useful += 1;
-                let block = addr.block(self.config.l1.block_size);
-                self.resolve(block, PrefetchFate::Useful, now);
-            }
-        }
-        hit
-    }
-
-    fn l1_line_is_unused_prefetch(&self, addr: Addr) -> bool {
-        self.l1.line_is_unused_prefetch(addr)
+            self.fill_both(Addr(block.wrapping_mul(block_size)), true, now);
+            false
+        });
+        self.in_flight = in_flight;
+        self.next_due = next_due;
     }
 
     /// Write-allocate: a store that filled on miss dirties the new line.
@@ -480,6 +476,7 @@ impl MemorySystem {
         self.l1.clear();
         self.l2.clear();
         self.in_flight.clear();
+        self.next_due = u64::MAX;
         self.pending.clear();
     }
 
@@ -488,8 +485,6 @@ impl MemorySystem {
     /// in arrival order) — the checkpointing primitive.
     #[must_use]
     pub fn export_state(&self) -> MemState {
-        let mut in_flight: Vec<(u64, u64)> = self.in_flight.iter().map(|(&b, &t)| (b, t)).collect();
-        in_flight.sort_unstable();
         let mut pending: Vec<(u64, u32, u64)> = self
             .pending
             .iter()
@@ -499,7 +494,7 @@ impl MemorySystem {
         MemState {
             l1: self.l1.export_state(),
             l2: self.l2.export_state(),
-            in_flight,
+            in_flight: self.in_flight.iter().map(|(&b, &t)| (b, t)).collect(),
             pending,
             outcomes: self.outcomes.clone(),
             stats: self.stats,
@@ -509,13 +504,36 @@ impl MemorySystem {
     /// Restores state exported by [`MemorySystem::export_state`]. The
     /// hierarchy must have the geometry the state was exported under.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a cache-geometry mismatch.
-    pub fn restore_state(&mut self, state: &MemState) {
-        self.l1.restore_state(&state.l1);
-        self.l2.restore_state(&state.l2);
+    /// A [`StateError`] naming the field (`l1.sets`, `l2.sets`,
+    /// `in_flight`, `pending`), leaving the hierarchy untouched, when a
+    /// cache state does not fit its level (see [`Cache::restore_state`])
+    /// or the in-flight or pending blocks are not strictly increasing.
+    pub fn restore_state(&mut self, state: &MemState) -> Result<(), StateError> {
+        let level = |config: CacheConfig, cache: &CacheState, field| {
+            let mut level = Cache::new(config);
+            level
+                .restore_state(cache)
+                .map_err(|e| StateError { field, ..e })?;
+            Ok(level)
+        };
+        let l1 = level(self.config.l1, &state.l1, "l1.sets")?;
+        let l2 = level(self.config.l2, &state.l2, "l2.sets")?;
+        let unsorted = |field, block| StateError {
+            field,
+            problem: StateProblem::UnsortedBlock { block },
+        };
+        if let Some(w) = state.in_flight.windows(2).find(|w| w[1].0 <= w[0].0) {
+            return Err(unsorted("in_flight", w[1].0));
+        }
+        if let Some(w) = state.pending.windows(2).find(|w| w[1].0 <= w[0].0) {
+            return Err(unsorted("pending", w[1].0));
+        }
+        self.l1 = l1;
+        self.l2 = l2;
         self.in_flight = state.in_flight.iter().copied().collect();
+        self.next_due = self.in_flight.values().copied().min().unwrap_or(u64::MAX);
         self.pending = state
             .pending
             .iter()
@@ -523,6 +541,7 @@ impl MemorySystem {
             .collect();
         self.outcomes = state.outcomes.clone();
         self.stats = state.stats;
+        Ok(())
     }
 }
 
@@ -532,9 +551,9 @@ impl MemorySystem {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemState {
     /// First-level cache state.
-    pub l1: crate::cache::CacheState,
+    pub l1: CacheState,
     /// Second-level cache state.
-    pub l2: crate::cache::CacheState,
+    pub l2: CacheState,
     /// In-flight prefetches as `(block, completion_time)`, sorted.
     pub in_flight: Vec<(u64, u64)>,
     /// Tracked prefetches as `(block, tag, issued_at)`, sorted.
@@ -800,7 +819,7 @@ mod tests {
         assert!(!state.in_flight.is_empty(), "test needs in-flight blocks");
         assert!(state.in_flight.windows(2).all(|w| w[0].0 < w[1].0));
         let mut resumed = mem();
-        resumed.restore_state(&state);
+        resumed.restore_state(&state).unwrap();
         assert_eq!(resumed.export_state(), state, "round-trip must be exact");
         for i in 0..80u64 {
             let now = 650 + i * 7;

@@ -44,7 +44,7 @@ mod hierarchy;
 pub mod prefetcher;
 mod stream_buffer;
 
-pub use cache::{Cache, CacheConfig, CacheState, LineState};
+pub use cache::{Cache, CacheConfig, CacheState, LineState, StateError, StateProblem};
 pub use cost::CostModel;
 pub use hierarchy::{
     AccessOutcome, AccessResult, HierarchyConfig, MemState, MemStats, MemorySystem, PrefetchFate,

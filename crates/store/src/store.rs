@@ -643,7 +643,7 @@ mod tests {
                 format!("{tenant}-main"),
                 vec![hds_trace::Pc(1), hds_trace::Pc(2)],
             )],
-            snapshot: if stamp % 2 == 0 {
+            snapshot: if stamp.is_multiple_of(2) {
                 Some(vec![0xAB; 24 + (stamp as usize % 5)])
             } else {
                 None
@@ -766,10 +766,9 @@ mod tests {
             StoreConfig::default(),
         )
         .unwrap();
-        s.spill(rec("ok", 1)).unwrap_or_else(|_| {
-            // The first mutating op may be the manifest tmp append; if
-            // the fault spent itself there, retry cleanly.
-        });
+        // The first mutating op may be the manifest tmp append; if
+        // the fault spent itself there, retry cleanly.
+        let _ = s.spill(rec("ok", 1));
         let _ = s.spill(rec("ok", 1));
         let err = s.spill(rec("torn", 2)).err();
         // Whether the single fault hit this spill or an earlier op,

@@ -1,11 +1,12 @@
 //! The editable program image: procedure copies, check injection, entry
 //! patching, and de-optimization.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use hds_trace::Pc;
 
+use crate::journal::JournalEntry;
 use crate::program::{ProcId, Procedure};
 
 /// Errors from an [`EditSession`].
@@ -51,9 +52,36 @@ pub struct EditReport {
 /// One patched procedure copy: the injected payloads per pc, and the
 /// epoch at which the copy became live.
 #[derive(Clone, Debug)]
-pub(crate) struct Copy<T> {
-    pub(crate) checks: HashMap<Pc, T>,
-    pub(crate) since_epoch: u64,
+struct Copy<T> {
+    checks: BTreeMap<Pc, T>,
+    since_epoch: u64,
+}
+
+/// A 4,096-bit superset filter of the injected pcs: every live injected
+/// pc has its bit set, so a clear bit answers "no check here" without a
+/// map lookup. A set bit — possibly another pc's — only falls through to
+/// the exact lookup, so crafted pcs can slow it no further than that.
+#[derive(Clone, Debug)]
+struct PcFilter([u64; 64]);
+
+impl PcFilter {
+    const EMPTY: PcFilter = PcFilter([0; 64]);
+
+    /// Word and bit of `pc`: the top 12 bits of a Fibonacci hash.
+    fn slot(pc: Pc) -> (usize, u64) {
+        let h = u64::from(pc.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52;
+        ((h >> 6) as usize, 1 << (h & 63))
+    }
+
+    fn insert(&mut self, pc: Pc) {
+        let (word, bit) = Self::slot(pc);
+        self.0[word] |= bit;
+    }
+
+    fn may_contain(&self, pc: Pc) -> bool {
+        let (word, bit) = Self::slot(pc);
+        self.0[word] & bit != 0
+    }
 }
 
 /// The patched state of one procedure, in canonical (sorted) order —
@@ -92,10 +120,15 @@ pub struct ImageState<T> {
 #[derive(Clone, Debug)]
 pub struct Image<T> {
     procs: Vec<Procedure>,
-    pc_to_proc: HashMap<Pc, ProcId>,
-    pub(crate) copies: HashMap<ProcId, Copy<T>>,
-    pub(crate) epoch: u64,
-    pub(crate) total_edits: u64,
+    /// Every pc of every procedure with its owner, sorted by pc.
+    pc_to_proc: Vec<(Pc, ProcId)>,
+    copies: BTreeMap<ProcId, Copy<T>>,
+    /// Covers every pc injected in `copies`; maintained only by
+    /// [`Image::apply`], [`Image::deoptimize`] and
+    /// [`Image::restore_state`].
+    injected: PcFilter,
+    epoch: u64,
+    total_edits: u64,
     total_deopts: u64,
 }
 
@@ -107,17 +140,20 @@ impl<T> Image<T> {
     /// Panics if two procedures claim the same pc.
     #[must_use]
     pub fn new(procs: Vec<Procedure>) -> Self {
-        let mut pc_to_proc = HashMap::new();
-        for (i, p) in procs.iter().enumerate() {
-            for &pc in p.pcs() {
-                let clash = pc_to_proc.insert(pc, ProcId(i as u32));
-                assert!(clash.is_none(), "{pc} belongs to two procedures");
-            }
+        let mut pc_to_proc: Vec<(Pc, ProcId)> = procs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, p)| p.pcs().iter().map(move |&pc| (pc, ProcId(i as u32))))
+            .collect();
+        pc_to_proc.sort_unstable();
+        if let Some(w) = pc_to_proc.windows(2).find(|w| w[0].0 == w[1].0) {
+            panic!("{} belongs to two procedures", w[0].0);
         }
         Image {
             procs,
             pc_to_proc,
-            copies: HashMap::new(),
+            copies: BTreeMap::new(),
+            injected: PcFilter::EMPTY,
             epoch: 0,
             total_edits: 0,
             total_deopts: 0,
@@ -133,7 +169,11 @@ impl<T> Image<T> {
     /// Resolves the procedure owning `pc`.
     #[must_use]
     pub fn proc_of(&self, pc: Pc) -> Option<ProcId> {
-        self.pc_to_proc.get(&pc).copied()
+        let i = self
+            .pc_to_proc
+            .binary_search_by_key(&pc, |&(p, _)| p)
+            .ok()?;
+        Some(self.pc_to_proc[i].1)
     }
 
     /// The current image epoch. Bumped by every committed edit and every
@@ -157,8 +197,10 @@ impl<T> Image<T> {
     /// address targets the original code, §3.2).
     #[must_use]
     pub fn injected_at(&self, pc: Pc, frame_epoch: u64) -> Option<&T> {
-        let proc = self.proc_of(pc)?;
-        let copy = self.copies.get(&proc)?;
+        if !self.injected.may_contain(pc) {
+            return None; // the common case: no check at this pc
+        }
+        let copy = self.copies.get(&self.proc_of(pc)?)?;
         if frame_epoch < copy.since_epoch {
             return None; // stale activation runs the original code
         }
@@ -171,7 +213,7 @@ impl<T> Image<T> {
     /// patches of procedures not touched by the session are removed.
     pub fn edit(&mut self) -> EditSession<'_, T> {
         EditSession {
-            staged: HashMap::new(),
+            staged: BTreeMap::new(),
             removals: Vec::new(),
             poisoned: None,
             replace: true,
@@ -187,7 +229,7 @@ impl<T> Image<T> {
     /// checks. This is the partial-deoptimization primitive.
     pub fn edit_partial(&mut self) -> EditSession<'_, T> {
         EditSession {
-            staged: HashMap::new(),
+            staged: BTreeMap::new(),
             removals: Vec::new(),
             poisoned: None,
             replace: false,
@@ -209,6 +251,7 @@ impl<T> Image<T> {
     pub fn deoptimize(&mut self) -> usize {
         let n = self.copies.len();
         self.copies.clear();
+        self.injected = PcFilter::EMPTY;
         if n > 0 {
             self.epoch += 1;
             self.total_deopts += 1;
@@ -231,9 +274,7 @@ impl<T> Image<T> {
     /// The set of currently patched procedures.
     #[must_use]
     pub fn patched_procs(&self) -> Vec<ProcId> {
-        let mut v: Vec<ProcId> = self.copies.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.copies.keys().copied().collect()
     }
 }
 
@@ -243,29 +284,23 @@ impl<T: Clone> Image<T> {
     /// included; restore into an image built over the same procedures.
     #[must_use]
     pub fn export_state(&self) -> ImageState<T> {
-        let mut copies: Vec<CopyState<T>> = self
-            .copies
-            .iter()
-            .map(|(&proc, copy)| {
-                let mut checks: Vec<(Pc, T)> = copy
-                    .checks
-                    .iter()
-                    .map(|(&pc, payload)| (pc, payload.clone()))
-                    .collect();
-                checks.sort_unstable_by_key(|&(pc, _)| pc);
-                CopyState {
-                    proc,
-                    since_epoch: copy.since_epoch,
-                    checks,
-                }
-            })
-            .collect();
-        copies.sort_unstable_by_key(|c| c.proc);
         ImageState {
             epoch: self.epoch,
             total_edits: self.total_edits,
             total_deopts: self.total_deopts,
-            copies,
+            copies: self
+                .copies
+                .iter()
+                .map(|(&proc, copy)| CopyState {
+                    proc,
+                    since_epoch: copy.since_epoch,
+                    checks: copy
+                        .checks
+                        .iter()
+                        .map(|(&pc, payload)| (pc, payload.clone()))
+                        .collect(),
+                })
+                .collect(),
         }
     }
 
@@ -277,6 +312,10 @@ impl<T: Clone> Image<T> {
         self.epoch = state.epoch;
         self.total_edits = state.total_edits;
         self.total_deopts = state.total_deopts;
+        self.injected = PcFilter::EMPTY;
+        for &(pc, _) in state.copies.iter().flat_map(|c| &c.checks) {
+            self.injected.insert(pc);
+        }
         self.copies = state
             .copies
             .into_iter()
@@ -304,20 +343,76 @@ impl<T: Clone> Image<T> {
         self.epoch.hash(&mut h);
         self.total_edits.hash(&mut h);
         self.total_deopts.hash(&mut h);
-        let mut procs: Vec<ProcId> = self.copies.keys().copied().collect();
-        procs.sort_unstable();
-        for proc in procs {
-            let copy = &self.copies[&proc];
+        for (proc, copy) in &self.copies {
             proc.0.hash(&mut h);
             copy.since_epoch.hash(&mut h);
-            let mut pcs: Vec<Pc> = copy.checks.keys().copied().collect();
-            pcs.sort_unstable();
-            for pc in pcs {
+            for (pc, payload) in &copy.checks {
                 pc.hash(&mut h);
-                f(&copy.checks[&pc]).hash(&mut h);
+                f(payload).hash(&mut h);
             }
         }
         h.finish()
+    }
+
+    /// Applies `entry`, the one edit-apply path of plain commits,
+    /// journaled commits and journal replay: sets the counters to their
+    /// targets, drops every patch (replace mode) or the staged removals
+    /// (patch mode), then lands the staged injections in pc order. With
+    /// `tear: Some(k)` only the first `k` injections land, modelling a
+    /// crash mid-edit. Idempotent: the counters are set, not bumped,
+    /// removing a removed pc does nothing and injections overwrite, so
+    /// applying a torn or complete entry again lands on the committed
+    /// image.
+    pub(crate) fn apply(&mut self, entry: &JournalEntry<T>, tear: Option<usize>) -> EditReport {
+        self.epoch = entry.epoch_target;
+        self.total_edits = entry.total_edits_target;
+        let mut touched: Vec<ProcId> = Vec::new();
+        if entry.replace {
+            self.copies.clear();
+            self.injected = PcFilter::EMPTY;
+        } else {
+            for &pc in &entry.removals {
+                let Some(proc) = self.proc_of(pc) else {
+                    continue;
+                };
+                let Some(copy) = self.copies.get_mut(&proc) else {
+                    continue;
+                };
+                copy.checks.remove(&pc);
+                touched.push(proc);
+                if copy.checks.is_empty() {
+                    self.copies.remove(&proc); // entry jump removed: original code
+                }
+            }
+        }
+        let mut pcs_injected = 0usize;
+        for (pc, payload) in entry.staged.iter().take(tear.unwrap_or(usize::MAX)) {
+            // Validated at staging; skipping an (impossible) unknown pc
+            // beats panicking inside a stop-the-world edit.
+            let Some(proc) = self.proc_of(*pc) else {
+                continue;
+            };
+            let copy = self.copies.entry(proc).or_insert_with(|| Copy {
+                checks: BTreeMap::new(),
+                since_epoch: entry.epoch_target,
+            });
+            copy.checks.insert(*pc, payload.clone());
+            self.injected.insert(*pc);
+            touched.push(proc);
+            pcs_injected += 1;
+        }
+        let procedures_modified = if entry.replace {
+            self.copies.len()
+        } else {
+            touched.sort_unstable();
+            touched.dedup();
+            touched.len()
+        };
+        EditReport {
+            procedures_modified,
+            pcs_injected,
+            epoch: entry.epoch_target,
+        }
     }
 }
 
@@ -332,16 +427,16 @@ impl<T: Clone> Image<T> {
 /// exactly the code they were stopped on).
 #[derive(Debug)]
 pub struct EditSession<'a, T> {
-    pub(crate) staged: HashMap<Pc, T>,
-    pub(crate) removals: Vec<Pc>,
-    pub(crate) poisoned: Option<EditError>,
+    staged: BTreeMap<Pc, T>,
+    removals: Vec<Pc>,
+    poisoned: Option<EditError>,
     /// `true` for [`Image::edit`] (commit describes the complete new
     /// instrumentation), `false` for [`Image::edit_partial`].
-    pub(crate) replace: bool,
-    pub(crate) image: &'a mut Image<T>,
+    replace: bool,
+    image: &'a mut Image<T>,
 }
 
-impl<T> EditSession<'_, T> {
+impl<'a, T> EditSession<'a, T> {
     /// Stages a payload for injection at `pc`.
     ///
     /// # Errors
@@ -406,6 +501,37 @@ impl<T> EditSession<'_, T> {
         err
     }
 
+    /// The journal entry this session commits, with the image it
+    /// targets: staged injections in pc order, removals sorted and
+    /// deduplicated, counters one edit past the image's.
+    ///
+    /// # Errors
+    ///
+    /// The error that poisoned the session; nothing is built.
+    pub(crate) fn into_entry(self) -> Result<(&'a mut Image<T>, JournalEntry<T>), EditError> {
+        if let Some(err) = self.poisoned {
+            return Err(err);
+        }
+        let mut removals = self.removals;
+        removals.sort_unstable();
+        removals.dedup();
+        let entry = JournalEntry {
+            replace: self.replace,
+            staged: self.staged.into_iter().collect(),
+            removals,
+            epoch_target: self.image.epoch + 1,
+            total_edits_target: self.image.total_edits + 1,
+        };
+        Ok((self.image, entry))
+    }
+
+    /// Abandons the session without modifying the image.
+    pub fn abort(self) {
+        // Dropping the session discards the staged edits.
+    }
+}
+
+impl<T: Clone> EditSession<'_, T> {
     /// Commits the staged edits atomically: bumps the epoch, copies
     /// every affected procedure, attaches the payloads, and patches the
     /// entries.
@@ -424,65 +550,8 @@ impl<T> EditSession<'_, T> {
     /// first such error is returned and the image is **not** modified in
     /// any way (no epoch bump, all copies intact).
     pub fn commit(self) -> Result<EditReport, EditError> {
-        if let Some(err) = self.poisoned {
-            return Err(err); // atomic rollback: the image was never touched
-        }
-        let image = self.image;
-        image.epoch += 1;
-        image.total_edits += 1;
-        let epoch = image.epoch;
-        let mut touched: Vec<ProcId> = Vec::new();
-        if self.replace {
-            image.copies.clear();
-        } else {
-            for pc in self.removals {
-                // Validated by `remove`; a pc no longer live (duplicate
-                // removal staged twice) is simply already gone.
-                let Some(proc) = image.proc_of(pc) else {
-                    continue;
-                };
-                let Some(copy) = image.copies.get_mut(&proc) else {
-                    continue;
-                };
-                copy.checks.remove(&pc);
-                touched.push(proc);
-                if copy.checks.is_empty() {
-                    image.copies.remove(&proc); // entry jump removed: original code
-                }
-            }
-        }
-        let mut pcs_injected = 0usize;
-        for (pc, payload) in self.staged {
-            // Validated by `inject`; skipping an (impossible) unknown pc
-            // beats panicking inside a stop-the-world edit.
-            let Some(proc) = image.proc_of(pc) else {
-                continue;
-            };
-            let copy = image.copies.entry(proc).or_insert_with(|| Copy {
-                checks: HashMap::new(),
-                since_epoch: epoch,
-            });
-            copy.checks.insert(pc, payload);
-            touched.push(proc);
-            pcs_injected += 1;
-        }
-        let procedures_modified = if self.replace {
-            image.copies.len()
-        } else {
-            touched.sort_unstable();
-            touched.dedup();
-            touched.len()
-        };
-        Ok(EditReport {
-            procedures_modified,
-            pcs_injected,
-            epoch,
-        })
-    }
-
-    /// Abandons the session without modifying the image.
-    pub fn abort(self) {
-        // Dropping the session discards the staged edits.
+        let (image, entry) = self.into_entry()?; // poisoned: atomic rollback
+        Ok(image.apply(&entry, None))
     }
 }
 
@@ -704,6 +773,68 @@ mod tests {
         // Rollback: the live payload survived both poisoned sessions.
         assert_eq!(img.injected_at(Pc(0x10), img.epoch()), Some(&"live"));
         assert_eq!(img.epoch(), 1);
+    }
+
+    /// The injected-pc filter covers every live injected pc after every
+    /// kind of edit: replace and partial commits, a torn journaled commit
+    /// and its recovery, de-optimization, and restore.
+    #[test]
+    fn filter_covers_every_live_injected_pc() {
+        fn assert_covered(img: &Image<u32>) {
+            for (&pc, _) in img.copies.values().flat_map(|c| &c.checks) {
+                assert!(img.injected.may_contain(pc), "{pc} filtered out");
+                assert!(img.injected_at(pc, u64::MAX).is_some(), "{pc} not found");
+            }
+        }
+        let procs = (0..4u32)
+            .map(|p| {
+                Procedure::new(
+                    format!("p{p}"),
+                    (0..200).map(|i| Pc((p << 12) | (i * 4))).collect(),
+                )
+            })
+            .collect();
+        let mut img: Image<u32> = Image::new(procs);
+        let pc = |i: u32| Pc(((i % 4) << 12) | ((i / 4 % 200) * 4));
+        let mut edit = img.edit();
+        for i in (0..400).step_by(3) {
+            edit.inject(pc(i), i).unwrap();
+        }
+        edit.commit().unwrap();
+        assert_covered(&img);
+
+        let mut patch = img.edit_partial();
+        for i in (0..400).step_by(6) {
+            patch.remove(pc(i)).unwrap();
+        }
+        for i in (1..400).step_by(3) {
+            patch.inject(pc(i), i).unwrap();
+        }
+        patch.commit().unwrap();
+        assert_covered(&img);
+
+        let mut journal = crate::EditJournal::new();
+        let mut edit = img.edit();
+        for i in 400..700 {
+            edit.inject(pc(i), i).unwrap();
+        }
+        assert!(edit
+            .commit_journaled(&mut journal, Some(100))
+            .unwrap()
+            .is_none());
+        assert_covered(&img);
+        assert!(journal.recover(&mut img));
+        assert_covered(&img);
+        let state = img.export_state();
+
+        img.deoptimize();
+        assert!((0..800).all(|i| !img.injected.may_contain(pc(i))));
+        img.restore_state(state);
+        assert_covered(&img);
+        assert_eq!(
+            img.copies.values().map(|c| c.checks.len()).sum::<usize>(),
+            300
+        );
     }
 
     #[test]

@@ -26,11 +26,9 @@
 //! at commit time, with nothing journaled — so a crash fault landing on
 //! an already-failed edit cannot trigger a second rollback on recovery.
 
-use std::collections::HashMap;
-
 use hds_trace::Pc;
 
-use crate::image::{Copy, EditError, EditReport, EditSession, Image};
+use crate::image::{EditError, EditReport, EditSession, Image};
 
 /// One journaled edit: everything needed to replay the commit from
 /// scratch, recorded before the image is touched.
@@ -94,34 +92,7 @@ impl<T: Clone> EditJournal<T> {
         let Some(entry) = self.pending.take() else {
             return false;
         };
-        image.epoch = entry.epoch_target;
-        image.total_edits = entry.total_edits_target;
-        if entry.replace {
-            image.copies.clear();
-        } else {
-            for &pc in &entry.removals {
-                let Some(proc) = image.proc_of(pc) else {
-                    continue;
-                };
-                let Some(copy) = image.copies.get_mut(&proc) else {
-                    continue;
-                };
-                copy.checks.remove(&pc);
-                if copy.checks.is_empty() {
-                    image.copies.remove(&proc);
-                }
-            }
-        }
-        for (pc, payload) in entry.staged {
-            let Some(proc) = image.proc_of(pc) else {
-                continue;
-            };
-            let copy = image.copies.entry(proc).or_insert_with(|| Copy {
-                checks: HashMap::new(),
-                since_epoch: entry.epoch_target,
-            });
-            copy.checks.insert(pc, payload);
-        }
+        image.apply(&entry, None);
         true
     }
 }
@@ -155,88 +126,20 @@ impl<T: Clone> EditSession<'_, T> {
         journal: &mut EditJournal<T>,
         tear_after: Option<usize>,
     ) -> Result<Option<EditReport>, EditError> {
-        if let Some(err) = self.poisoned {
-            return Err(err); // atomic rollback; nothing journaled
-        }
-        let mut staged: Vec<(Pc, T)> = self.staged.into_iter().collect();
-        staged.sort_unstable_by_key(|&(pc, _)| pc);
-        let mut removals = self.removals;
-        removals.sort_unstable();
-        removals.dedup();
-        let image = self.image;
-
         // Step 1: write-ahead — the journal records the full edit and
-        // its target counters before any image mutation.
-        journal.pending = Some(JournalEntry {
-            replace: self.replace,
-            staged,
-            removals,
-            epoch_target: image.epoch + 1,
-            total_edits_target: image.total_edits + 1,
-        });
-        let entry = journal
-            .pending
-            .as_ref()
-            .expect("entry written immediately above");
-
+        // its target counters before any image mutation. A poisoned
+        // session fails here: atomic rollback, nothing journaled.
+        let (image, entry) = self.into_entry()?;
+        let entry = journal.pending.insert(entry);
         // Step 2: apply *from the journal entry* in its deterministic
         // order, so a torn apply is always a prefix of the replay.
-        image.epoch = entry.epoch_target;
-        image.total_edits = entry.total_edits_target;
-        let mut touched: Vec<crate::program::ProcId> = Vec::new();
-        if entry.replace {
-            image.copies.clear();
-        } else {
-            for &pc in &entry.removals {
-                let Some(proc) = image.proc_of(pc) else {
-                    continue;
-                };
-                let Some(copy) = image.copies.get_mut(&proc) else {
-                    continue;
-                };
-                copy.checks.remove(&pc);
-                touched.push(proc);
-                if copy.checks.is_empty() {
-                    image.copies.remove(&proc);
-                }
-            }
-        }
-        let tear = tear_after.unwrap_or(usize::MAX);
-        let mut pcs_injected = 0usize;
-        for (i, (pc, payload)) in entry.staged.iter().enumerate() {
-            if i >= tear {
-                return Ok(None); // died mid-apply: entry stays pending
-            }
-            let Some(proc) = image.proc_of(*pc) else {
-                continue;
-            };
-            let copy = image.copies.entry(proc).or_insert_with(|| Copy {
-                checks: HashMap::new(),
-                since_epoch: entry.epoch_target,
-            });
-            copy.checks.insert(*pc, payload.clone());
-            touched.push(proc);
-            pcs_injected += 1;
-        }
+        let report = image.apply(entry, tear_after);
         if tear_after.is_some() {
-            return Ok(None); // died after the last patch, before the erase
+            return Ok(None); // died mid-apply, or after the last patch but before the erase
         }
-        let procedures_modified = if entry.replace {
-            image.copies.len()
-        } else {
-            touched.sort_unstable();
-            touched.dedup();
-            touched.len()
-        };
-        let epoch = entry.epoch_target;
-
         // Step 3: the edit is fully applied — erase the journal entry.
         journal.pending = None;
-        Ok(Some(EditReport {
-            procedures_modified,
-            pcs_injected,
-            epoch,
-        }))
+        Ok(Some(report))
     }
 }
 
