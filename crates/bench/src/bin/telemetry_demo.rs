@@ -22,7 +22,7 @@ use hds_bench::{
 };
 use hds_core::{GuardConfig, OptimizerConfig, PrefetchPolicy, SessionBuilder};
 use hds_flight::{perfetto, FlightRecorder};
-use hds_telemetry::events::{CycleEnd, Deoptimize, GuardTripped, PhaseTransition, PrefetchFate};
+use hds_telemetry::events::{Event, PrefetchFate};
 use hds_telemetry::{JsonlSink, MetricsRecorder, Observer};
 use hds_workloads::{benchmark, Benchmark};
 
@@ -30,42 +30,34 @@ use hds_workloads::{benchmark, Benchmark};
 struct LiveTable;
 
 impl Observer for LiveTable {
-    fn cycle_end(&mut self, e: &CycleEnd) {
-        println!(
-            "{:>5}  {:>11}  {:>7}  {:>7}  {:>6}  {:>6}  {:>5}",
-            e.opt_cycle,
-            e.traced_refs,
-            e.hot_streams,
-            e.streams_used,
-            e.dfsm_states,
-            e.dfsm_checks,
-            e.procs_modified,
-        );
-    }
-
-    fn phase_transition(&mut self, e: &PhaseTransition) {
-        eprintln!(
-            "  -> {:?} at cycle {} (duty cycle so far {:.3})",
-            e.to, e.at_cycle, e.duty_cycle
-        );
-    }
-
-    fn guard_tripped(&mut self, e: &GuardTripped) {
-        eprintln!(
-            "  !! guard {} tripped at cycle {}: observed {} > budget {}",
-            e.guard.label(),
-            e.at_cycle,
-            e.observed,
-            e.budget
-        );
-    }
-
-    fn deoptimize(&mut self, e: &Deoptimize) {
-        if e.partial {
-            eprintln!(
+    fn on(&mut self, event: &Event) {
+        match event {
+            Event::CycleEnd(e) => println!(
+                "{:>5}  {:>11}  {:>7}  {:>7}  {:>6}  {:>6}  {:>5}",
+                e.opt_cycle,
+                e.traced_refs,
+                e.hot_streams,
+                e.streams_used,
+                e.dfsm_states,
+                e.dfsm_checks,
+                e.procs_modified,
+            ),
+            Event::PhaseTransition(e) => eprintln!(
+                "  -> {:?} at cycle {} (duty cycle so far {:.3})",
+                e.to, e.at_cycle, e.duty_cycle
+            ),
+            Event::GuardTripped(e) => eprintln!(
+                "  !! guard {} tripped at cycle {}: observed {} > budget {}",
+                e.guard.label(),
+                e.at_cycle,
+                e.observed,
+                e.budget
+            ),
+            Event::Deoptimize(e) if e.partial => eprintln!(
                 "  !! partial deopt at cycle {}: stream {:?} removed, rest keep prefetching",
                 e.at_cycle, e.stream_id
-            );
+            ),
+            _ => {}
         }
     }
 }

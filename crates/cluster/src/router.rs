@@ -245,10 +245,10 @@ impl<O: Observer> Router<O> {
 
     fn cluster_instant(&mut self, kind: tev::ClusterEventKind, b: u64) {
         if O::ENABLED {
-            self.obs.span(
-                &tev::SpanEvent::instant(tev::SpanKind::Cluster, self.clock)
+            self.obs.on(&tev::Event::Span(
+                tev::SpanEvent::instant(tev::SpanKind::Cluster, self.clock)
                     .with_args(kind.code(), b),
-            );
+            ));
         }
     }
 
@@ -365,8 +365,9 @@ impl<O: Observer> Router<O> {
         self.tally.owner_restarts += 1;
         self.cluster_instant(tev::ClusterEventKind::OwnerRestarted, u64::from(owner));
         if O::ENABLED {
-            self.obs
-                .cluster_owner_restarted(&tev::ClusterOwnerRestarted { owner, tenants });
+            self.obs.on(&tev::Event::ClusterOwnerRestarted(
+                tev::ClusterOwnerRestarted { owner, tenants },
+            ));
         }
         // Tenants that were migrating *to* the dead owner re-resolve
         // when their export lands (the dest link was just replaced, so
@@ -427,12 +428,13 @@ impl<O: Observer> Router<O> {
         self.tally.rehomes += 1;
         self.cluster_instant(tev::ClusterEventKind::Rehomed, key);
         if O::ENABLED {
-            self.obs.cluster_rehomed(&tev::ClusterRehomed {
-                tenant: key,
-                from_owner: from,
-                to_owner: dest,
-                replayed_chunks: replayed,
-            });
+            self.obs
+                .on(&tev::Event::ClusterRehomed(tev::ClusterRehomed {
+                    tenant: key,
+                    from_owner: from,
+                    to_owner: dest,
+                    replayed_chunks: replayed,
+                }));
         }
     }
 
@@ -930,12 +932,13 @@ impl<O: Observer> Router<O> {
             self.tally.replayed_chunks += replayed;
             self.cluster_instant(tev::ClusterEventKind::Migrated, key);
             if O::ENABLED {
-                self.obs.cluster_migrated(&tev::ClusterMigrated {
-                    tenant: key,
-                    from_owner: from,
-                    to_owner: to,
-                    replayed_chunks: replayed,
-                });
+                self.obs
+                    .on(&tev::Event::ClusterMigrated(tev::ClusterMigrated {
+                        tenant: key,
+                        from_owner: from,
+                        to_owner: to,
+                        replayed_chunks: replayed,
+                    }));
             }
         } else {
             // Refresh: same owner, resume forwarding the held tail.

@@ -10,6 +10,7 @@ use hds_core::{OptimizerConfig, PrefetchPolicy, RunMode};
 use hds_serve::client::ClientConfig;
 use hds_serve::load::{generate, standalone_reference, LoadConfig, TenantLoad};
 use hds_serve::ServeConfig;
+use hds_telemetry::MetricsRecorder;
 
 fn tiny_config() -> OptimizerConfig {
     let mut c = OptimizerConfig::test_scale();
@@ -66,13 +67,14 @@ fn assert_cluster_matches_standalone(
     owners: u32,
     refresh_every: u64,
     seed: u64,
-    script: impl FnMut(u64, &mut Cluster),
-) -> Cluster {
+    script: impl FnMut(u64, &mut Cluster<MetricsRecorder>),
+) -> Cluster<MetricsRecorder> {
     let loads = load(seed);
-    let mut cluster = Cluster::new(
+    let mut cluster = Cluster::with_observer(
         serve_config(),
         router_config(refresh_every),
         &owner_ids(owners),
+        MetricsRecorder::new(),
     )
     .expect("valid serve config");
     let outcome = run_cluster_session(&mut cluster, client_config(), &loads, 50_000, script)
@@ -94,6 +96,13 @@ fn assert_cluster_matches_standalone(
         );
     }
     assert!(cluster.router().all_flushed());
+    // The router's telemetry reconciles with its own tally.
+    // `replayed_chunks` is left out: the tally also counts owner-restart
+    // replays, which the recorder's counter excludes.
+    let (rec, tally) = (cluster.router().observer(), cluster.router().tally());
+    assert_eq!(rec.cluster_migrations(), tally.migrations);
+    assert_eq!(rec.cluster_rehomes(), tally.rehomes);
+    assert_eq!(rec.cluster_owner_restarts(), tally.owner_restarts);
     cluster
 }
 
@@ -117,7 +126,7 @@ fn record_refreshes_do_not_perturb_reports() {
 
 /// The owner currently serving a mid-stream tenant, if any — killing
 /// it guarantees the rebuild path actually runs.
-fn live_owner(cluster: &Cluster) -> Option<u32> {
+fn live_owner(cluster: &Cluster<MetricsRecorder>) -> Option<u32> {
     let tenant = cluster.router().unfinished_tenants().into_iter().next()?;
     cluster.router().owner_of(&tenant)
 }

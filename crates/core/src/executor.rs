@@ -239,13 +239,14 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
         // The first profiling cycle starts with the program (the tracer
         // begins awake); baseline modes never cycle.
         if O::ENABLED && session.mode.records() {
-            session.obs.cycle_start(&tev::CycleStart {
+            session.obs.on(&tev::Event::CycleStart(tev::CycleStart {
                 opt_cycle: 0,
                 at_cycle: 0,
-            });
-            session
-                .obs
-                .span(&tev::SpanEvent::begin(tev::SpanKind::Profile, 0));
+            }));
+            session.obs.on(&tev::Event::Span(tev::SpanEvent::begin(
+                tev::SpanKind::Profile,
+                0,
+            )));
         }
         session
     }
@@ -332,10 +333,11 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
     pub fn crash_recover(&mut self) -> bool {
         let rolled = self.st.journal.recover(&mut self.st.image);
         if O::ENABLED {
-            self.obs.recovery_replay(&tev::RecoveryReplay {
-                events_consumed: self.st.events_consumed,
-                rolled_forward: rolled,
-            });
+            self.obs
+                .on(&tev::Event::RecoveryReplay(tev::RecoveryReplay {
+                    events_consumed: self.st.events_consumed,
+                    rolled_forward: rolled,
+                }));
         }
         rolled
     }
@@ -350,11 +352,12 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
     pub fn mark_restarted(&mut self, attempt: u32, backoff_cycles: u64) {
         self.st.restarts = u64::from(attempt);
         if O::ENABLED {
-            self.obs.recovery_restart(&tev::RecoveryRestart {
-                attempt,
-                resumed_at_event: self.st.events_consumed,
-                backoff_cycles,
-            });
+            self.obs
+                .on(&tev::Event::RecoveryRestart(tev::RecoveryRestart {
+                    attempt,
+                    resumed_at_event: self.st.events_consumed,
+                    backoff_cycles,
+                }));
         }
     }
 
@@ -540,17 +543,17 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
                 Phase::Hibernating => tev::SpanKind::Hibernate,
             };
             let opt_cycle = session.st.cycle_stats.len() as u64;
-            session
-                .obs
-                .span(&tev::SpanEvent::begin(kind, session.st.cycles).with_args(opt_cycle, 0));
+            session.obs.on(&tev::Event::Span(
+                tev::SpanEvent::begin(kind, session.st.cycles).with_args(opt_cycle, 0),
+            ));
             // Ditto for a re-submitted in-flight background analysis:
             // its eventual resolution emits an end boundary.
             if let Some(p) = session.st.bg.as_ref().and_then(|bg| bg.pending.as_ref()) {
                 let trace_len = p.request.refs.len() as u64;
-                session.obs.span(
-                    &tev::SpanEvent::begin(tev::SpanKind::BgAnalysis, p.handoff_at)
+                session.obs.on(&tev::Event::Span(
+                    tev::SpanEvent::begin(tev::SpanKind::BgAnalysis, p.handoff_at)
                         .with_args(opt_cycle, trace_len),
-                );
+                ));
             }
         }
         Ok(session)
@@ -660,8 +663,9 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
                 Phase::Hibernating => tev::SpanKind::Hibernate,
             };
             let opt_cycle = self.st.cycle_stats.len() as u64;
-            self.obs
-                .span(&tev::SpanEvent::end(kind, self.st.cycles).with_args(opt_cycle, 0));
+            self.obs.on(&tev::Event::Span(
+                tev::SpanEvent::end(kind, self.st.cycles).with_args(opt_cycle, 0),
+            ));
         }
         let mode_label = match (self.mode, self.st.online.as_ref()) {
             // An online backend's report is labeled with its backend,
@@ -706,13 +710,13 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
 /// [`GuardRuntime::trips_total`].
 fn report_trip<O: Observer>(st: &RunState, obs: &mut O, trip: Trip) {
     if O::ENABLED && trip.first_in_cycle {
-        obs.guard_tripped(&tev::GuardTripped {
+        obs.on(&tev::Event::GuardTripped(tev::GuardTripped {
             guard: trip.guard,
             budget: trip.budget,
             observed: trip.observed,
             opt_cycle: st.cycle_stats.len() as u64,
             at_cycle: st.cycles,
-        });
+        }));
     }
 }
 
@@ -740,13 +744,13 @@ fn issue_prefetch<O: Observer>(
         st.mem.prefetch_at(addr, st.cycles);
     }
     if O::ENABLED {
-        obs.prefetch_issued(&tev::PrefetchIssued {
+        obs.on(&tev::Event::PrefetchIssued(tev::PrefetchIssued {
             stream_id: stream,
             addr: addr.0,
             block: addr.block(config.hierarchy.l1.block_size),
             at_cycle: st.cycles,
             at_ref: st.refs,
-        });
+        }));
     }
 }
 
@@ -771,14 +775,14 @@ fn drain_outcomes<O: Observer>(st: &mut RunState, obs: &mut O) {
             }
         }
         if O::ENABLED {
-            obs.prefetch_outcome(&tev::PrefetchOutcome {
+            obs.on(&tev::Event::PrefetchOutcome(tev::PrefetchOutcome {
                 stream_id: o.tag,
                 block: o.block,
                 fate,
                 issued_at_cycle: o.issued_at,
                 resolved_at_cycle: o.resolved_at,
                 resolved_at_ref: st.refs,
-            });
+            }));
         }
     }
 }
@@ -833,13 +837,13 @@ fn do_check<O: Observer, F: FaultInjector>(
                         // (inline analysis only): a = references absorbed
                         // so far this phase, b = grammar rules.
                         if O::ENABLED && mode.analyzes() && st.bg.is_none() {
-                            obs.span(
-                                &tev::SpanEvent::instant(tev::SpanKind::SequiturAppend, st.cycles)
+                            obs.on(&tev::Event::Span(
+                                tev::SpanEvent::instant(tev::SpanKind::SequiturAppend, st.cycles)
                                     .with_args(
                                         st.sequitur.input_len(),
                                         st.sequitur.rule_count() as u64,
                                     ),
-                            );
+                            ));
                         }
                     }
                     Some(Signal::BurstBegin) => {}
@@ -858,10 +862,10 @@ fn do_check<O: Observer, F: FaultInjector>(
                             st.buffer.end_burst_discard_empty();
                         }
                         if O::ENABLED {
-                            obs.span(
-                                &tev::SpanEvent::end(tev::SpanKind::Profile, st.cycles)
+                            obs.on(&tev::Event::Span(
+                                tev::SpanEvent::end(tev::SpanKind::Profile, st.cycles)
                                     .with_args(st.cycle_stats.len() as u64, 0),
-                            );
+                            ));
                         }
                         finish_awake(config, mode, st, obs, faults);
                         if st.crashed {
@@ -872,11 +876,14 @@ fn do_check<O: Observer, F: FaultInjector>(
                         }
                         st.tracer.hibernate();
                         if O::ENABLED {
-                            obs.phase_transition(&phase_event(st, tev::PhaseKind::Hibernating));
-                            obs.span(
-                                &tev::SpanEvent::begin(tev::SpanKind::Hibernate, st.cycles)
+                            obs.on(&tev::Event::PhaseTransition(phase_event(
+                                st,
+                                tev::PhaseKind::Hibernating,
+                            )));
+                            obs.on(&tev::Event::Span(
+                                tev::SpanEvent::begin(tev::SpanKind::Hibernate, st.cycles)
                                     .with_args(st.cycle_stats.len() as u64, 0),
-                            );
+                            ));
                         }
                         checkpoint(config, mode, st, obs, faults);
                     }
@@ -887,23 +894,26 @@ fn do_check<O: Observer, F: FaultInjector>(
                             // another hibernation span.
                             st.tracer.hibernate();
                             if O::ENABLED {
-                                obs.phase_transition(&phase_event(st, tev::PhaseKind::Hibernating));
-                                obs.span(
-                                    &tev::SpanEvent::end(tev::SpanKind::Hibernate, st.cycles)
+                                obs.on(&tev::Event::PhaseTransition(phase_event(
+                                    st,
+                                    tev::PhaseKind::Hibernating,
+                                )));
+                                obs.on(&tev::Event::Span(
+                                    tev::SpanEvent::end(tev::SpanKind::Hibernate, st.cycles)
                                         .with_args(st.cycle_stats.len() as u64, 0),
-                                );
-                                obs.span(
-                                    &tev::SpanEvent::begin(tev::SpanKind::Hibernate, st.cycles)
+                                ));
+                                obs.on(&tev::Event::Span(
+                                    tev::SpanEvent::begin(tev::SpanKind::Hibernate, st.cycles)
                                         .with_args(st.cycle_stats.len() as u64, 0),
-                                );
+                                ));
                             }
                             checkpoint(config, mode, st, obs, faults);
                         } else {
                             if O::ENABLED {
-                                obs.span(
-                                    &tev::SpanEvent::end(tev::SpanKind::Hibernate, st.cycles)
+                                obs.on(&tev::Event::Span(
+                                    tev::SpanEvent::end(tev::SpanKind::Hibernate, st.cycles)
                                         .with_args(st.cycle_stats.len() as u64, 0),
-                                );
+                                ));
                             }
                             // A background analysis that missed the
                             // whole hibernation span can no longer be
@@ -940,22 +950,25 @@ fn do_check<O: Observer, F: FaultInjector>(
                             st.tracer.wake();
                             if O::ENABLED {
                                 if had_code {
-                                    obs.deoptimize(&tev::Deoptimize {
+                                    obs.on(&tev::Event::Deoptimize(tev::Deoptimize {
                                         at_cycle: st.cycles,
                                         opt_cycle: st.cycle_stats.len() as u64,
                                         partial: false,
                                         stream_id: None,
-                                    });
+                                    }));
                                 }
-                                obs.phase_transition(&phase_event(st, tev::PhaseKind::Awake));
-                                obs.cycle_start(&tev::CycleStart {
+                                obs.on(&tev::Event::PhaseTransition(phase_event(
+                                    st,
+                                    tev::PhaseKind::Awake,
+                                )));
+                                obs.on(&tev::Event::CycleStart(tev::CycleStart {
                                     opt_cycle: st.cycle_stats.len() as u64,
                                     at_cycle: st.cycles,
-                                });
-                                obs.span(
-                                    &tev::SpanEvent::begin(tev::SpanKind::Profile, st.cycles)
+                                }));
+                                obs.on(&tev::Event::Span(
+                                    tev::SpanEvent::begin(tev::SpanKind::Profile, st.cycles)
                                         .with_args(st.cycle_stats.len() as u64, 0),
-                                );
+                                ));
                             }
                             checkpoint(config, mode, st, obs, faults);
                         }
@@ -1003,12 +1016,12 @@ fn checkpoint<O: Observer, F: FaultInjector>(
         let state = export_session_state(st, faults);
         let snap = state.to_snapshot(config_fingerprint(config, mode));
         if O::ENABLED {
-            obs.recovery_snapshot(&tev::RecoverySnapshot {
+            obs.on(&tev::Event::RecoverySnapshot(tev::RecoverySnapshot {
                 opt_cycle: st.cycle_stats.len() as u64,
                 at_cycle: st.cycles,
                 events_consumed: st.events_consumed,
                 bytes: snap.len() as u64,
-            });
+            }));
         }
         st.latest_snapshot = Some(snap);
     }
@@ -1017,10 +1030,10 @@ fn checkpoint<O: Observer, F: FaultInjector>(
     if F::ENABLED && faults.crash(CrashPoint::PhaseBoundary) {
         st.crashed = true;
         if O::ENABLED {
-            obs.span(
-                &tev::SpanEvent::instant(tev::SpanKind::Crash, st.cycles)
+            obs.on(&tev::Event::Span(
+                tev::SpanEvent::instant(tev::SpanKind::Crash, st.cycles)
                     .with_args(CRASH_PHASE_BOUNDARY, st.cycle_stats.len() as u64),
-            );
+            ));
         }
     }
 }
@@ -1330,10 +1343,10 @@ fn finish_awake<O: Observer, F: FaultInjector>(
             st.breakdown.analysis += c;
             // a = grammar size the pass runs over, b = traced references.
             if O::ENABLED {
-                obs.span(
-                    &tev::SpanEvent::begin(tev::SpanKind::Analyze, st.cycles)
+                obs.on(&tev::Event::Span(
+                    tev::SpanEvent::begin(tev::SpanKind::Analyze, st.cycles)
                         .with_args(grammar.size() as u64, trace_len),
-                );
+                ));
             }
             let analysis_cfg = config
                 .analysis
@@ -1368,30 +1381,30 @@ fn finish_awake<O: Observer, F: FaultInjector>(
                     // Ids match the DFSM's StreamIds (build preserves
                     // input order), so prefetch events correlate back.
                     for (i, s) in streams.iter().enumerate() {
-                        obs.stream_detected(&tev::StreamDetected {
+                        obs.on(&tev::Event::StreamDetected(tev::StreamDetected {
                             opt_cycle: st.cycle_stats.len() as u64,
                             stream_id: i as u32,
                             len: s.len(),
                             head_len,
-                        });
+                        }));
                     }
                 }
                 if !streams.is_empty() {
                     // a = streams fed to subset construction; the end
                     // boundary's b = resulting state count (0 on failure).
                     if O::ENABLED {
-                        obs.span(
-                            &tev::SpanEvent::begin(tev::SpanKind::DfsmBuild, st.cycles)
+                        obs.on(&tev::Event::Span(
+                            tev::SpanEvent::begin(tev::SpanKind::DfsmBuild, st.cycles)
                                 .with_args(streams.len() as u64, 0),
-                        );
+                        ));
                     }
                     let built = machine_for(&streams, config);
                     if O::ENABLED {
                         let states = built.as_ref().map_or(0, |d| d.state_count() as u64);
-                        obs.span(
-                            &tev::SpanEvent::end(tev::SpanKind::DfsmBuild, st.cycles)
+                        obs.on(&tev::Event::Span(
+                            tev::SpanEvent::end(tev::SpanKind::DfsmBuild, st.cycles)
                                 .with_args(streams.len() as u64, states),
-                        );
+                        ));
                     }
                     match built {
                         Ok(dfsm) => {
@@ -1414,7 +1427,7 @@ fn finish_awake<O: Observer, F: FaultInjector>(
                 }
             }
             if O::ENABLED {
-                obs.cycle_end(&tev::CycleEnd {
+                obs.on(&tev::Event::CycleEnd(tev::CycleEnd {
                     opt_cycle: st.cycle_stats.len() as u64,
                     at_cycle: st.cycles,
                     traced_refs: stats.traced_refs,
@@ -1424,13 +1437,13 @@ fn finish_awake<O: Observer, F: FaultInjector>(
                     dfsm_checks: stats.dfsm_checks,
                     procs_modified: stats.procs_modified,
                     grammar_size: stats.grammar_size,
-                });
+                }));
             }
             if O::ENABLED {
-                obs.span(
-                    &tev::SpanEvent::end(tev::SpanKind::Analyze, st.cycles)
+                obs.on(&tev::Event::Span(
+                    tev::SpanEvent::end(tev::SpanKind::Analyze, st.cycles)
                         .with_args(stats.grammar_size as u64, stats.traced_refs),
-                );
+                ));
             }
             st.cycle_stats.push(stats);
         }
@@ -1463,10 +1476,10 @@ fn install_machine<O: Observer, F: FaultInjector>(
     // exported traces stay well nested; the Crash instant (not a
     // dangling span) names that kill point.
     if O::ENABLED {
-        obs.span(
-            &tev::SpanEvent::begin(tev::SpanKind::ImageEdit, st.cycles)
+        obs.on(&tev::Event::Span(
+            tev::SpanEvent::begin(tev::SpanKind::ImageEdit, st.cycles)
                 .with_args(checks.len() as u64, 0),
-        );
+        ));
     }
     let mut edit = st.image.edit();
     for (pc, chain) in &checks {
@@ -1492,10 +1505,10 @@ fn install_machine<O: Observer, F: FaultInjector>(
         st.crashed = true;
         tear = Some(checks.len() / 2);
         if O::ENABLED {
-            obs.span(
-                &tev::SpanEvent::instant(tev::SpanKind::Crash, st.cycles)
+            obs.on(&tev::Event::Span(
+                tev::SpanEvent::instant(tev::SpanKind::Crash, st.cycles)
                     .with_args(CRASH_MID_EDIT, st.cycle_stats.len() as u64),
-            );
+            ));
         }
     }
     match edit.commit_journaled(&mut st.journal, tear) {
@@ -1504,10 +1517,10 @@ fn install_machine<O: Observer, F: FaultInjector>(
             // journal entry is pending. This session is dead; nothing
             // more happens in it (recovery rolls the image forward).
             if O::ENABLED {
-                obs.span(
-                    &tev::SpanEvent::end(tev::SpanKind::ImageEdit, st.cycles)
+                obs.on(&tev::Event::Span(
+                    tev::SpanEvent::end(tev::SpanKind::ImageEdit, st.cycles)
                         .with_args(checks.len() as u64, 1),
-                );
+                ));
             }
             return;
         }
@@ -1518,13 +1531,13 @@ fn install_machine<O: Observer, F: FaultInjector>(
             stats.dfsm_checks = dfsm.address_check_count();
             stats.procs_modified = report.procedures_modified;
             if O::ENABLED {
-                obs.dfsm_built(&tev::DfsmBuilt {
+                obs.on(&tev::Event::DfsmBuilt(tev::DfsmBuilt {
                     opt_cycle: st.cycle_stats.len() as u64,
                     states: stats.dfsm_states,
                     address_checks: stats.dfsm_checks,
                     streams: streams.len(),
                     procs_modified: stats.procs_modified,
-                });
+                }));
             }
             st.dfsm = Some(dfsm);
             st.dfsm_state = StateId::START;
@@ -1546,10 +1559,10 @@ fn install_machine<O: Observer, F: FaultInjector>(
         }
     }
     if O::ENABLED {
-        obs.span(
-            &tev::SpanEvent::end(tev::SpanKind::ImageEdit, st.cycles)
+        obs.on(&tev::Event::Span(
+            tev::SpanEvent::end(tev::SpanKind::ImageEdit, st.cycles)
                 .with_args(checks.len() as u64, 0),
-        );
+        ));
     }
     // A fault may force a thread switch "during" the stop-the-world
     // edit; it lands at the commit point, so stale activations exercise
@@ -1580,13 +1593,13 @@ fn degraded_cycle<O: Observer>(
         ..CycleStats::default()
     };
     if O::ENABLED {
-        obs.cycle_end(&tev::CycleEnd {
+        obs.on(&tev::Event::CycleEnd(tev::CycleEnd {
             opt_cycle: st.cycle_stats.len() as u64,
             at_cycle: st.cycles,
             traced_refs,
             grammar_size,
             ..tev::CycleEnd::default()
-        });
+        }));
     }
     st.cycle_stats.push(stats);
 }
@@ -1641,18 +1654,18 @@ fn handoff_analysis<O: Observer, F: FaultInjector>(
     });
     bg.handoffs += 1;
     if O::ENABLED {
-        obs.analysis_handoff(&tev::AnalysisHandoff {
+        obs.on(&tev::Event::AnalysisHandoff(tev::AnalysisHandoff {
             opt_cycle: st.cycle_stats.len() as u64,
             at_cycle: st.cycles,
             trace_len,
-        });
+        }));
         // The worker's span lives on its own lane: it begins before the
         // awake phase's successor opens and ends mid-hibernation.
         // a = optimization cycle, b = handed-off trace length.
-        obs.span(
-            &tev::SpanEvent::begin(tev::SpanKind::BgAnalysis, st.cycles)
+        obs.on(&tev::Event::Span(
+            tev::SpanEvent::begin(tev::SpanKind::BgAnalysis, st.cycles)
                 .with_args(st.cycle_stats.len() as u64, trace_len),
-        );
+        ));
     }
     // The mid-handoff kill point: the process dies after the trace left
     // for the worker but before hibernation began. The pending request
@@ -1661,10 +1674,10 @@ fn handoff_analysis<O: Observer, F: FaultInjector>(
     if F::ENABLED && faults.crash(CrashPoint::MidHandoff) {
         st.crashed = true;
         if O::ENABLED {
-            obs.span(
-                &tev::SpanEvent::instant(tev::SpanKind::Crash, st.cycles)
+            obs.on(&tev::Event::Span(
+                tev::SpanEvent::instant(tev::SpanKind::Crash, st.cycles)
                     .with_args(CRASH_MID_HANDOFF, st.cycle_stats.len() as u64),
-            );
+            ));
         }
     }
 }
@@ -1748,16 +1761,16 @@ fn mark_starved<O: Observer>(
         bg.starved += 1;
     }
     if O::ENABLED {
-        obs.analysis_starved(&tev::AnalysisStarved {
+        obs.on(&tev::Event::AnalysisStarved(tev::AnalysisStarved {
             opt_cycle: st.cycle_stats.len() as u64,
             handoff_at_cycle: p.handoff_at,
             at_cycle: st.cycles,
             lag_cycles: lag,
-        });
-        obs.span(
-            &tev::SpanEvent::end(tev::SpanKind::BgAnalysis, st.cycles)
+        }));
+        obs.on(&tev::Event::Span(
+            tev::SpanEvent::end(tev::SpanKind::BgAnalysis, st.cycles)
                 .with_args(st.cycle_stats.len() as u64, lag),
-        );
+        ));
     }
     degraded_cycle(st, obs, outcome.trace_len, outcome.grammar_size);
 }
@@ -1781,16 +1794,16 @@ fn apply_outcome<O: Observer, F: FaultInjector>(
         bg.applied += 1;
     }
     if O::ENABLED {
-        obs.analysis_applied(&tev::AnalysisApplied {
+        obs.on(&tev::Event::AnalysisApplied(tev::AnalysisApplied {
             opt_cycle: st.cycle_stats.len() as u64,
             handoff_at_cycle: p.handoff_at,
             at_cycle: st.cycles,
             lag_cycles: lag,
-        });
-        obs.span(
-            &tev::SpanEvent::end(tev::SpanKind::BgAnalysis, st.cycles)
+        }));
+        obs.on(&tev::Event::Span(
+            tev::SpanEvent::end(tev::SpanKind::BgAnalysis, st.cycles)
                 .with_args(st.cycle_stats.len() as u64, lag),
-        );
+        ));
     }
     let trip = st
         .guard
@@ -1816,12 +1829,12 @@ fn apply_outcome<O: Observer, F: FaultInjector>(
         if O::ENABLED {
             let head_len = config.dfsm.head_len;
             for (i, s) in outcome.streams.iter().enumerate() {
-                obs.stream_detected(&tev::StreamDetected {
+                obs.on(&tev::Event::StreamDetected(tev::StreamDetected {
                     opt_cycle: st.cycle_stats.len() as u64,
                     stream_id: i as u32,
                     len: s.len(),
                     head_len,
-                });
+                }));
             }
         }
         if let Some(observed) = outcome.dfsm_over_limit {
@@ -1838,7 +1851,7 @@ fn apply_outcome<O: Observer, F: FaultInjector>(
         }
     }
     if O::ENABLED {
-        obs.cycle_end(&tev::CycleEnd {
+        obs.on(&tev::Event::CycleEnd(tev::CycleEnd {
             opt_cycle: st.cycle_stats.len() as u64,
             at_cycle: st.cycles,
             traced_refs: stats.traced_refs,
@@ -1848,7 +1861,7 @@ fn apply_outcome<O: Observer, F: FaultInjector>(
             dfsm_checks: stats.dfsm_checks,
             procs_modified: stats.procs_modified,
             grammar_size: stats.grammar_size,
-        });
+        }));
     }
     st.cycle_stats.push(stats);
 }
@@ -1898,12 +1911,12 @@ fn evaluate_accuracy<O: Observer, F: FaultInjector>(
         }
         if O::ENABLED {
             for id in &bad_ids {
-                obs.deoptimize(&tev::Deoptimize {
+                obs.on(&tev::Event::Deoptimize(tev::Deoptimize {
                     at_cycle: st.cycles,
                     opt_cycle: st.cycle_stats.len() as u64,
                     partial: true,
                     stream_id: Some(*id),
-                });
+                }));
             }
         }
         return;
@@ -1976,12 +1989,12 @@ fn evaluate_accuracy<O: Observer, F: FaultInjector>(
                     }
                     if O::ENABLED {
                         for id in &bad_ids {
-                            obs.deoptimize(&tev::Deoptimize {
+                            obs.on(&tev::Event::Deoptimize(tev::Deoptimize {
                                 at_cycle: st.cycles,
                                 opt_cycle: st.cycle_stats.len() as u64,
                                 partial: true,
                                 stream_id: Some(*id),
-                            });
+                            }));
                         }
                     }
                     st.installed = kept;
@@ -2017,12 +2030,12 @@ fn evaluate_accuracy<O: Observer, F: FaultInjector>(
                 g.begin_install(std::iter::empty::<(u32, u64)>());
             }
             if O::ENABLED {
-                obs.deoptimize(&tev::Deoptimize {
+                obs.on(&tev::Event::Deoptimize(tev::Deoptimize {
                     at_cycle: st.cycles,
                     opt_cycle: st.cycle_stats.len() as u64,
                     partial: false,
                     stream_id: None,
-                });
+                }));
             }
         }
     }

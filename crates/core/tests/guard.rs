@@ -241,14 +241,12 @@ struct Timeline {
 }
 
 impl Observer for Timeline {
-    fn prefetch_issued(&mut self, e: &tev::PrefetchIssued) {
-        self.issued.push((e.at_cycle, e.addr));
-    }
-    fn deoptimize(&mut self, e: &tev::Deoptimize) {
-        if e.partial {
-            self.partial_deopts.push(e.at_cycle);
-        } else {
-            self.full_deopts.push(e.at_cycle);
+    fn on(&mut self, event: &tev::Event) {
+        match event {
+            tev::Event::PrefetchIssued(e) => self.issued.push((e.at_cycle, e.addr)),
+            tev::Event::Deoptimize(e) if e.partial => self.partial_deopts.push(e.at_cycle),
+            tev::Event::Deoptimize(e) => self.full_deopts.push(e.at_cycle),
+            _ => {}
         }
     }
 }

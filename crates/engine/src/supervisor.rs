@@ -28,7 +28,7 @@
 use hds_core::{
     FaultInjector, Observer, OptimizerConfig, RunMode, RunReport, SessionBuilder, Snapshot,
 };
-use hds_telemetry::events::RecoveryGaveUp;
+use hds_telemetry::events as tev;
 use hds_vulcan::{Event, Procedure};
 
 /// Restart policy for [`supervise`]: capped exponential backoff plus a
@@ -170,7 +170,10 @@ pub fn supervise<O: Observer, F: FaultInjector>(
         latest = session.latest_snapshot().cloned();
         drop(session);
         if restarts >= policy.max_restarts {
-            obs.recovery_gave_up(&RecoveryGaveUp { restarts, crashes });
+            obs.on(&tev::Event::RecoveryGaveUp(tev::RecoveryGaveUp {
+                restarts,
+                crashes,
+            }));
             return SupervisedOutcome {
                 report: None,
                 restarts,

@@ -462,9 +462,9 @@ impl<T: Transport, O: Observer> ClientSession<T, O> {
 
     fn net_event(&mut self, kind: tev::NetEventKind, b: u64) {
         if O::ENABLED {
-            self.obs.span(
-                &tev::SpanEvent::instant(tev::SpanKind::Net, self.poll).with_args(kind.code(), b),
-            );
+            self.obs.on(&tev::Event::Span(
+                tev::SpanEvent::instant(tev::SpanKind::Net, self.poll).with_args(kind.code(), b),
+            ));
         }
     }
 

@@ -586,11 +586,11 @@ impl<O: Observer> SessionManager<O> {
             frame.tenant().map_or(0, tenant_key),
         );
         if O::ENABLED {
-            self.obs.span(
-                &tev::SpanEvent::begin(tev::SpanKind::ServeFrame, self.clock)
+            self.obs.on(&tev::Event::Span(
+                tev::SpanEvent::begin(tev::SpanKind::ServeFrame, self.clock)
                     .on_track(track)
                     .with_args(tag, key),
-            );
+            ));
         }
         let responses = match frame {
             Frame::Hello {
@@ -632,11 +632,11 @@ impl<O: Observer> SessionManager<O> {
             ),
         };
         if O::ENABLED {
-            self.obs.span(
-                &tev::SpanEvent::end(tev::SpanKind::ServeFrame, self.clock)
+            self.obs.on(&tev::Event::Span(
+                tev::SpanEvent::end(tev::SpanKind::ServeFrame, self.clock)
                     .on_track(track)
                     .with_args(tag, responses.len() as u64),
-            );
+            ));
         }
         responses
     }
@@ -716,9 +716,9 @@ impl<O: Observer> SessionManager<O> {
     /// kind-specific value.
     fn net_event(&mut self, kind: tev::NetEventKind, b: u64) {
         if O::ENABLED {
-            self.obs.span(
-                &tev::SpanEvent::instant(tev::SpanKind::Net, self.clock).with_args(kind.code(), b),
-            );
+            self.obs.on(&tev::Event::Span(
+                tev::SpanEvent::instant(tev::SpanKind::Net, self.clock).with_args(kind.code(), b),
+            ));
         }
     }
 
@@ -727,10 +727,9 @@ impl<O: Observer> SessionManager<O> {
     /// value.
     fn store_event(&mut self, kind: tev::StoreEventKind, b: u64) {
         if O::ENABLED {
-            self.obs.span(
-                &tev::SpanEvent::instant(tev::SpanKind::Store, self.clock)
-                    .with_args(kind.code(), b),
-            );
+            self.obs.on(&tev::Event::Span(
+                tev::SpanEvent::instant(tev::SpanKind::Store, self.clock).with_args(kind.code(), b),
+            ));
         }
     }
 
@@ -741,10 +740,11 @@ impl<O: Observer> SessionManager<O> {
     fn count_store_fault(&mut self, key: u64, action: u8) {
         self.tally.store_faults += 1;
         if O::ENABLED {
-            self.obs.store_fault(&tev::StoreFaultObserved {
-                tenant: key,
-                action,
-            });
+            self.obs
+                .on(&tev::Event::StoreFault(tev::StoreFaultObserved {
+                    tenant: key,
+                    action,
+                }));
         }
         self.store_event(tev::StoreEventKind::Fault, key);
         if self.spill_disabled {
@@ -754,13 +754,13 @@ impl<O: Observer> SessionManager<O> {
             self.spill_disabled = true;
             let shard = self.shard_for(key);
             if O::ENABLED {
-                self.obs.serve_shed(&tev::ServeShed {
+                self.obs.on(&tev::Event::ServeShed(tev::ServeShed {
                     tenant: key,
                     shard,
                     kind: trip.kind,
                     budget: trip.budget,
                     observed: trip.observed,
-                });
+                }));
             }
         }
     }
@@ -805,8 +805,10 @@ impl<O: Observer> SessionManager<O> {
             + record.tail.len() as u64 * std::mem::size_of::<Event>() as u64;
         self.tally.loaded += 1;
         if O::ENABLED {
-            self.obs
-                .store_loaded(&tev::StoreLoaded { tenant: key, bytes });
+            self.obs.on(&tev::Event::StoreLoaded(tev::StoreLoaded {
+                tenant: key,
+                bytes,
+            }));
         }
         self.store_event(tev::StoreEventKind::Loaded, key);
         self.shards[shard as usize].mailbox.push(ShardMsg::Install {
@@ -884,8 +886,10 @@ impl<O: Observer> SessionManager<O> {
                         .spilled = true;
                     self.tally.spilled += 1;
                     if O::ENABLED {
-                        self.obs
-                            .store_spilled(&tev::StoreSpilled { tenant: key, bytes });
+                        self.obs.on(&tev::Event::StoreSpilled(tev::StoreSpilled {
+                            tenant: key,
+                            bytes,
+                        }));
                     }
                     self.store_event(tev::StoreEventKind::Spilled, key);
                 }
@@ -919,18 +923,19 @@ impl<O: Observer> SessionManager<O> {
                 let dropped = before.len() as u64 - kept;
                 self.tally.compactions += 1;
                 if O::ENABLED {
-                    self.obs.store_compacted(&tev::StoreCompacted {
-                        kept,
-                        dropped,
-                        segments_dropped: 0,
-                    });
+                    self.obs
+                        .on(&tev::Event::StoreCompacted(tev::StoreCompacted {
+                            kept,
+                            dropped,
+                        }));
                 }
                 self.store_event(tev::StoreEventKind::Compacted, dropped);
                 for name in before.into_iter().filter(|t| !after.contains(t)) {
                     let key = tenant_key(&name);
                     self.tally.expired += 1;
                     if O::ENABLED {
-                        self.obs.store_expired(&tev::StoreExpired { tenant: key });
+                        self.obs
+                            .on(&tev::Event::StoreExpired(tev::StoreExpired { tenant: key }));
                     }
                     self.store_event(tev::StoreEventKind::Expired, key);
                     // Only a spilled (hence cold, unfinished) control
@@ -1047,13 +1052,13 @@ impl<O: Observer> SessionManager<O> {
     fn shed_frame(&mut self, tenant: String, key: u64, trip: hds_guard::ServeTrip) -> Vec<Frame> {
         let shard = self.tenants.get(&tenant).map_or(0, |c| c.shard);
         if O::ENABLED {
-            self.obs.serve_shed(&tev::ServeShed {
+            self.obs.on(&tev::Event::ServeShed(tev::ServeShed {
                 tenant: key,
                 shard,
                 kind: trip.kind,
                 budget: trip.budget,
                 observed: trip.observed,
-            });
+            }));
         }
         vec![Frame::Shed {
             tenant,
@@ -1072,12 +1077,12 @@ impl<O: Observer> SessionManager<O> {
             }
             self.guard.count_busy();
             if O::ENABLED {
-                self.obs.serve_busy(&tev::ServeBusy {
+                self.obs.on(&tev::Event::ServeBusy(tev::ServeBusy {
                     tenant: key,
                     shard,
                     budget: trip.budget,
                     observed: trip.observed,
-                });
+                }));
             }
             return Err(vec![Frame::Busy {
                 tenant: tenant.to_string(),
@@ -1165,11 +1170,12 @@ impl<O: Observer> SessionManager<O> {
         self.tally.opened += 1;
         self.tally.opened_by_backend[backend.wire_code() as usize] += 1;
         if O::ENABLED {
-            self.obs.serve_session_opened(&tev::ServeSessionOpened {
-                tenant: key,
-                shard,
-                backend: backend.wire_code(),
-            });
+            self.obs
+                .on(&tev::Event::ServeSessionOpened(tev::ServeSessionOpened {
+                    tenant: key,
+                    shard,
+                    backend: backend.wire_code(),
+                }));
         }
         let ack = self.reliable.then(|| tenant.clone());
         self.shards[shard as usize].mailbox.push(ShardMsg::Open {
@@ -1327,11 +1333,12 @@ impl<O: Observer> SessionManager<O> {
         self.tally.opened += 1;
         self.tally.opened_by_backend[backend.wire_code() as usize] += 1;
         if O::ENABLED {
-            self.obs.serve_session_opened(&tev::ServeSessionOpened {
-                tenant: key,
-                shard,
-                backend: backend.wire_code(),
-            });
+            self.obs
+                .on(&tev::Event::ServeSessionOpened(tev::ServeSessionOpened {
+                    tenant: key,
+                    shard,
+                    backend: backend.wire_code(),
+                }));
         }
         let ack = self.reliable.then(|| tenant.clone());
         self.shards[shard as usize].mailbox.push(ShardMsg::Install {
@@ -1501,10 +1508,9 @@ impl<O: Observer> SessionManager<O> {
                 // One ShardPump span per shard per pump, replayed on
                 // the shard's track in shard order — same determinism
                 // story as the note replay itself.
-                self.obs.span(
-                    &tev::SpanEvent::begin(tev::SpanKind::ShardPump, self.clock)
-                        .on_track(shard + 1),
-                );
+                self.obs.on(&tev::Event::Span(
+                    tev::SpanEvent::begin(tev::SpanKind::ShardPump, self.clock).on_track(shard + 1),
+                ));
             }
             let (mut pumped_frames, mut pumped_events) = (0u64, 0u64);
             for note in notes {
@@ -1516,23 +1522,27 @@ impl<O: Observer> SessionManager<O> {
                     } => {
                         self.tally.evicted += 1;
                         if O::ENABLED {
-                            self.obs.serve_session_evicted(&tev::ServeSessionEvicted {
-                                tenant: key,
-                                shard,
-                                snapshot_bytes,
-                                tail_events,
-                            });
+                            self.obs.on(&tev::Event::ServeSessionEvicted(
+                                tev::ServeSessionEvicted {
+                                    tenant: key,
+                                    shard,
+                                    snapshot_bytes,
+                                    tail_events,
+                                },
+                            ));
                         }
                     }
                     Note::Resumed { key, replayed } => {
                         self.tally.resumed += 1;
                         self.tally.replayed_events += replayed;
                         if O::ENABLED {
-                            self.obs.serve_session_resumed(&tev::ServeSessionResumed {
-                                tenant: key,
-                                shard,
-                                replayed_events: replayed,
-                            });
+                            self.obs.on(&tev::Event::ServeSessionResumed(
+                                tev::ServeSessionResumed {
+                                    tenant: key,
+                                    shard,
+                                    replayed_events: replayed,
+                                },
+                            ));
                         }
                     }
                     Note::Restarted {
@@ -1544,16 +1554,17 @@ impl<O: Observer> SessionManager<O> {
                         if O::ENABLED {
                             // The crash instant names the shard and
                             // tenant a flight dump should blame.
-                            self.obs.span(
-                                &tev::SpanEvent::instant(tev::SpanKind::Crash, self.clock)
+                            self.obs.on(&tev::Event::Span(
+                                tev::SpanEvent::instant(tev::SpanKind::Crash, self.clock)
                                     .on_track(shard + 1)
                                     .with_args(CRASH_MID_FRAME, key),
-                            );
-                            self.obs.recovery_restart(&tev::RecoveryRestart {
-                                attempt,
-                                resumed_at_event: resumed_at,
-                                backoff_cycles: 0,
-                            });
+                            ));
+                            self.obs
+                                .on(&tev::Event::RecoveryRestart(tev::RecoveryRestart {
+                                    attempt,
+                                    resumed_at_event: resumed_at,
+                                    backoff_cycles: 0,
+                                }));
                         }
                     }
                     Note::Pumped {
@@ -1564,12 +1575,13 @@ impl<O: Observer> SessionManager<O> {
                         pumped_frames = frames;
                         pumped_events = events;
                         if O::ENABLED {
-                            self.obs.serve_shard_pump(&tev::ServeShardPump {
-                                shard,
-                                queued,
-                                frames,
-                                events,
-                            });
+                            self.obs
+                                .on(&tev::Event::ServeShardPump(tev::ServeShardPump {
+                                    shard,
+                                    queued,
+                                    frames,
+                                    events,
+                                }));
                         }
                     }
                     Note::Report {
@@ -1623,11 +1635,11 @@ impl<O: Observer> SessionManager<O> {
                 }
             }
             if O::ENABLED {
-                self.obs.span(
-                    &tev::SpanEvent::end(tev::SpanKind::ShardPump, self.clock)
+                self.obs.on(&tev::Event::Span(
+                    tev::SpanEvent::end(tev::SpanKind::ShardPump, self.clock)
                         .on_track(shard + 1)
                         .with_args(pumped_frames, pumped_events),
-                );
+                ));
             }
         }
         // Everything enqueued was drained; reset queue accounting.

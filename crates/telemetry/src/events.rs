@@ -3,9 +3,108 @@
 //! Every struct is plain data with public fields: the emitting side
 //! (`hds-core`) fills them from its run state, observers read them.
 //! All of them derive the workspace `serde` Serialize so sinks can
-//! export them without per-event glue.
+//! export them without per-event glue. [`Event`] wraps each in one
+//! variant: it is what every emission site sends and every observer
+//! matches on.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+
+/// Declares [`Event`] from one `Variant(Payload) => "name"` line per
+/// kind, so the variants, their names and their payloads cannot drift
+/// apart.
+macro_rules! events {
+    ($($(#[$doc:meta])* $variant:ident($payload:ty) => $name:literal,)*) => {
+        /// One event of the stream an [`Observer`](crate::Observer)
+        /// receives: a variant per kind, wrapping that kind's payload.
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        pub enum Event {
+            $($(#[$doc])* $variant($payload),)*
+        }
+
+        impl Event {
+            /// The kind's stable lower-case name: the JSONL `event` tag.
+            pub(crate) fn name(&self) -> &'static str {
+                match self {
+                    $(Event::$variant(_) => $name,)*
+                }
+            }
+
+            /// The payload's fields as a serde value, in declaration
+            /// order.
+            pub(crate) fn payload(&self) -> Value {
+                match self {
+                    $(Event::$variant(e) => e.to_value(),)*
+                }
+            }
+        }
+    };
+}
+
+events! {
+    /// The bursty tracer crossed an awake/hibernate boundary.
+    PhaseTransition(PhaseTransition) => "phase_transition",
+    /// A profile → analyze → optimize cycle began (profiling starts).
+    CycleStart(CycleStart) => "cycle_start",
+    /// A cycle's awake phase finished: analysis ran, statistics final.
+    CycleEnd(CycleEnd) => "cycle_end",
+    /// A hot data stream was accepted for prefetching.
+    StreamDetected(StreamDetected) => "stream_detected",
+    /// A prefix-matching DFSM was built and injected.
+    DfsmBuilt(DfsmBuilt) => "dfsm_built",
+    /// A prefetch instruction was issued.
+    PrefetchIssued(PrefetchIssued) => "prefetch_issued",
+    /// An issued prefetch resolved (used, late, or evicted unused).
+    PrefetchOutcome(PrefetchOutcome) => "prefetch_outcome",
+    /// Injected code was removed, fully or by the accuracy guard.
+    Deoptimize(Deoptimize) => "deoptimize",
+    /// A budget guard tripped and degraded the current cycle.
+    GuardTripped(GuardTripped) => "guard_tripped",
+    /// An awake-phase trace went to the background analysis worker.
+    AnalysisHandoff(AnalysisHandoff) => "analysis_handoff",
+    /// A background analysis result was installed.
+    AnalysisApplied(AnalysisApplied) => "analysis_applied",
+    /// A background analysis result was discarded (worker starved).
+    AnalysisStarved(AnalysisStarved) => "analysis_starved",
+    /// A crash-consistent checkpoint was captured at a phase boundary.
+    RecoverySnapshot(RecoverySnapshot) => "recovery_snapshot",
+    /// Crash recovery inspected the write-ahead edit journal.
+    RecoveryReplay(RecoveryReplay) => "recovery_replay",
+    /// The supervisor restarted a crashed session from its snapshot.
+    RecoveryRestart(RecoveryRestart) => "recovery_restart",
+    /// The supervisor's restart circuit breaker opened.
+    RecoveryGaveUp(RecoveryGaveUp) => "recovery_gave_up",
+    /// The serving layer admitted a tenant and opened its session.
+    ServeSessionOpened(ServeSessionOpened) => "serve_session_opened",
+    /// The serving layer evicted a cold tenant's session.
+    ServeSessionEvicted(ServeSessionEvicted) => "serve_session_evicted",
+    /// The serving layer rehydrated an evicted tenant's session.
+    ServeSessionResumed(ServeSessionResumed) => "serve_session_resumed",
+    /// The serving layer shed a trace chunk with a typed `Shed` frame.
+    ServeShed(ServeShed) => "serve_shed",
+    /// The serving layer refused an `OpenSession` with a `Busy` frame.
+    ServeBusy(ServeBusy) => "serve_busy",
+    /// A serving shard drained its mailbox for one pump.
+    ServeShardPump(ServeShardPump) => "serve_shard_pump",
+    /// The durable store spilled a hibernated tenant to disk.
+    StoreSpilled(StoreSpilled) => "store_spilled",
+    /// The durable store loaded a spilled tenant back.
+    StoreLoaded(StoreLoaded) => "store_loaded",
+    /// The durable store compacted its segments.
+    StoreCompacted(StoreCompacted) => "store_compacted",
+    /// The durable store expired a dead tenant past its TTL.
+    StoreExpired(StoreExpired) => "store_expired",
+    /// A storage fault was observed and degraded gracefully.
+    StoreFault(StoreFaultObserved) => "store_fault",
+    /// The cluster router completed a planned tenant migration.
+    ClusterMigrated(ClusterMigrated) => "cluster_migrated",
+    /// The cluster router re-homed a tenant after its owner died.
+    ClusterRehomed(ClusterRehomed) => "cluster_rehomed",
+    /// The cluster supervisor restarted a dead owner process.
+    ClusterOwnerRestarted(ClusterOwnerRestarted) => "cluster_owner_restarted",
+    /// A span boundary or instant marker on the phase timeline. Spans
+    /// charge zero simulated cycles; `hds-flight` records them.
+    Span(SpanEvent) => "span",
+}
 
 /// The bursty-tracing phase being entered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -714,10 +813,9 @@ pub struct StoreLoaded {
 pub struct StoreCompacted {
     /// Live records carried into the fresh segment.
     pub kept: u64,
-    /// Superseded/tombstoned/corrupt records left behind.
+    /// Tenants that left the store's index in this pass: expired past
+    /// their TTL, or whose record could not be read back.
     pub dropped: u64,
-    /// Dead segment files deleted.
-    pub segments_dropped: u64,
 }
 
 /// A tenant's record outlived its TTL with no activity and was

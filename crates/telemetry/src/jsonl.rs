@@ -2,16 +2,9 @@
 
 use std::io::Write;
 
-use serde::{Serialize, Value};
+use serde::Value;
 
-use crate::events::{
-    AnalysisApplied, AnalysisHandoff, AnalysisStarved, ClusterMigrated, ClusterOwnerRestarted,
-    ClusterRehomed, CycleEnd, CycleStart, Deoptimize, DfsmBuilt, GuardTripped, PhaseTransition,
-    PrefetchFate, PrefetchIssued, PrefetchOutcome, RecoveryGaveUp, RecoveryReplay, RecoveryRestart,
-    RecoverySnapshot, ServeBusy, ServeSessionEvicted, ServeSessionOpened, ServeSessionResumed,
-    ServeShardPump, ServeShed, StoreCompacted, StoreExpired, StoreFaultObserved, StoreLoaded,
-    StoreSpilled, StreamDetected,
-};
+use crate::events::{Event, PrefetchFate};
 use crate::Observer;
 
 /// An [`Observer`] that appends one JSON object per event to a writer,
@@ -20,7 +13,7 @@ use crate::Observer;
 ///
 /// `cycle_end` records additionally carry the running global prefetch
 /// `accuracy` / `coverage` / `timeliness`, so each line of the per-cycle
-/// series is a complete snapshot on its own.
+/// series is a complete snapshot on its own. Spans write nothing.
 ///
 /// Write errors do not panic (observers are called from the optimizer's
 /// hot path); they are counted and readable via
@@ -79,24 +72,6 @@ impl<W: Write> JsonlSink<W> {
         Ok(out)
     }
 
-    fn emit(&mut self, kind: &str, event: &impl Serialize) {
-        self.emit_with(kind, event, Vec::new());
-    }
-
-    fn emit_with(&mut self, kind: &str, event: &impl Serialize, extra: Vec<(String, Value)>) {
-        let mut value = event.to_value();
-        if let Value::Obj(fields) = &mut value {
-            fields.insert(0, ("event".to_string(), Value::Str(kind.to_string())));
-            fields.extend(extra);
-        }
-        let line = serde_json::to_string(&value).unwrap_or_else(|_| "null".to_string());
-        let Some(out) = self.out.as_mut() else { return };
-        match writeln!(out, "{line}") {
-            Ok(()) => self.records += 1,
-            Err(_) => self.write_errors += 1,
-        }
-    }
-
     #[allow(clippy::cast_precision_loss)]
     fn ratio(num: u64, den: u64) -> f64 {
         if den == 0 {
@@ -119,191 +94,64 @@ impl<W: Write> Drop for JsonlSink<W> {
     }
 }
 
-// Raw `Value`s serialize as themselves.
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
 impl<W: Write> Observer for JsonlSink<W> {
-    fn phase_transition(&mut self, event: &PhaseTransition) {
-        self.emit("phase_transition", event);
-    }
-
-    fn cycle_start(&mut self, event: &CycleStart) {
-        self.emit("cycle_start", event);
-    }
-
-    fn cycle_end(&mut self, event: &CycleEnd) {
-        let extra = vec![
-            (
-                "prefetch_accuracy".to_string(),
-                Value::F64(Self::ratio(self.useful, self.issued)),
-            ),
-            (
-                "prefetch_coverage".to_string(),
-                Value::F64(Self::ratio(self.useful + self.late, self.issued)),
-            ),
-            (
-                "prefetch_timeliness".to_string(),
-                Value::F64(Self::ratio(self.useful, self.useful + self.late)),
-            ),
-        ];
-        self.emit_with("cycle_end", event, extra);
-    }
-
-    fn stream_detected(&mut self, event: &StreamDetected) {
-        self.emit("stream_detected", event);
-    }
-
-    fn dfsm_built(&mut self, event: &DfsmBuilt) {
-        self.emit("dfsm_built", event);
-    }
-
-    fn prefetch_issued(&mut self, event: &PrefetchIssued) {
-        self.issued += 1;
-        self.emit("prefetch_issued", event);
-    }
-
-    fn prefetch_outcome(&mut self, event: &PrefetchOutcome) {
-        match event.fate {
-            PrefetchFate::Useful => self.useful += 1,
-            PrefetchFate::Late => self.late += 1,
-            PrefetchFate::Polluted => {}
+    fn on(&mut self, event: &Event) {
+        if matches!(event, Event::Span(_)) {
+            return;
         }
-        // The fate enum serializes as its variant name; re-wrap with the
-        // lower-case label for a stable external schema.
-        let mut value = event.to_value();
-        if let Value::Obj(fields) = &mut value {
+        let mut value = event.payload();
+        let Value::Obj(fields) = &mut value else {
+            return;
+        };
+        // Enums serialize as their variant names; the external schema
+        // uses their lower-case labels.
+        let mut relabel = |key: &str, label: &str| {
             for (k, v) in fields.iter_mut() {
-                if k == "fate" {
-                    *v = Value::Str(event.fate.label().to_string());
+                if k == key {
+                    *v = Value::Str(label.to_string());
                 }
             }
-        }
-        self.emit("prefetch_outcome", &Raw(value));
-    }
-
-    fn deoptimize(&mut self, event: &Deoptimize) {
-        self.emit("deoptimize", event);
-    }
-
-    fn guard_tripped(&mut self, event: &GuardTripped) {
-        // The kind enum serializes as its variant name; re-wrap with the
-        // lower-case label for a stable external schema.
-        let mut value = event.to_value();
-        if let Value::Obj(fields) = &mut value {
-            for (k, v) in fields.iter_mut() {
-                if k == "guard" {
-                    *v = Value::Str(event.guard.label().to_string());
+        };
+        match event {
+            Event::PrefetchIssued(_) => self.issued += 1,
+            Event::PrefetchOutcome(e) => {
+                match e.fate {
+                    PrefetchFate::Useful => self.useful += 1,
+                    PrefetchFate::Late => self.late += 1,
+                    PrefetchFate::Polluted => {}
+                }
+                relabel("fate", e.fate.label());
+            }
+            Event::GuardTripped(e) => relabel("guard", e.guard.label()),
+            Event::ServeShed(e) => relabel("kind", e.kind.label()),
+            Event::CycleEnd(_) => {
+                for (key, num, den) in [
+                    ("prefetch_accuracy", self.useful, self.issued),
+                    ("prefetch_coverage", self.useful + self.late, self.issued),
+                    ("prefetch_timeliness", self.useful, self.useful + self.late),
+                ] {
+                    fields.push((key.to_string(), Value::F64(Self::ratio(num, den))));
                 }
             }
+            _ => {}
         }
-        self.emit("guard_tripped", &Raw(value));
-    }
-
-    fn analysis_handoff(&mut self, event: &AnalysisHandoff) {
-        self.emit("analysis_handoff", event);
-    }
-
-    fn analysis_applied(&mut self, event: &AnalysisApplied) {
-        self.emit("analysis_applied", event);
-    }
-
-    fn analysis_starved(&mut self, event: &AnalysisStarved) {
-        self.emit("analysis_starved", event);
-    }
-
-    fn recovery_snapshot(&mut self, event: &RecoverySnapshot) {
-        self.emit("recovery_snapshot", event);
-    }
-
-    fn recovery_replay(&mut self, event: &RecoveryReplay) {
-        self.emit("recovery_replay", event);
-    }
-
-    fn recovery_restart(&mut self, event: &RecoveryRestart) {
-        self.emit("recovery_restart", event);
-    }
-
-    fn recovery_gave_up(&mut self, event: &RecoveryGaveUp) {
-        self.emit("recovery_gave_up", event);
-    }
-
-    fn serve_session_opened(&mut self, event: &ServeSessionOpened) {
-        self.emit("serve_session_opened", event);
-    }
-
-    fn serve_session_evicted(&mut self, event: &ServeSessionEvicted) {
-        self.emit("serve_session_evicted", event);
-    }
-
-    fn serve_session_resumed(&mut self, event: &ServeSessionResumed) {
-        self.emit("serve_session_resumed", event);
-    }
-
-    fn serve_shed(&mut self, event: &ServeShed) {
-        // The kind enum serializes as its variant name; re-wrap with the
-        // lower-case label for a stable external schema.
-        let mut value = event.to_value();
-        if let Value::Obj(fields) = &mut value {
-            for (k, v) in fields.iter_mut() {
-                if k == "kind" {
-                    *v = Value::Str(event.kind.label().to_string());
-                }
-            }
+        fields.insert(
+            0,
+            ("event".to_string(), Value::Str(event.name().to_string())),
+        );
+        let line = serde_json::to_string(&value).unwrap_or_else(|_| "null".to_string());
+        let Some(out) = self.out.as_mut() else { return };
+        match writeln!(out, "{line}") {
+            Ok(()) => self.records += 1,
+            Err(_) => self.write_errors += 1,
         }
-        self.emit("serve_shed", &Raw(value));
-    }
-
-    fn serve_busy(&mut self, event: &ServeBusy) {
-        self.emit("serve_busy", event);
-    }
-
-    fn serve_shard_pump(&mut self, event: &ServeShardPump) {
-        self.emit("serve_shard_pump", event);
-    }
-
-    fn store_spilled(&mut self, event: &StoreSpilled) {
-        self.emit("store_spilled", event);
-    }
-
-    fn store_loaded(&mut self, event: &StoreLoaded) {
-        self.emit("store_loaded", event);
-    }
-
-    fn store_compacted(&mut self, event: &StoreCompacted) {
-        self.emit("store_compacted", event);
-    }
-
-    fn store_expired(&mut self, event: &StoreExpired) {
-        self.emit("store_expired", event);
-    }
-
-    fn store_fault(&mut self, event: &StoreFaultObserved) {
-        self.emit("store_fault", event);
-    }
-
-    fn cluster_migrated(&mut self, event: &ClusterMigrated) {
-        self.emit("cluster_migrated", event);
-    }
-
-    fn cluster_rehomed(&mut self, event: &ClusterRehomed) {
-        self.emit("cluster_rehomed", event);
-    }
-
-    fn cluster_owner_restarted(&mut self, event: &ClusterOwnerRestarted) {
-        self.emit("cluster_owner_restarted", event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::PhaseKind;
+    use crate::events::*;
 
     fn lines(sink: JsonlSink<Vec<u8>>) -> Vec<Value> {
         let buf = sink.into_inner().unwrap();
@@ -317,17 +165,17 @@ mod tests {
     #[test]
     fn records_are_tagged_and_parse() {
         let mut sink = JsonlSink::new(Vec::new());
-        sink.cycle_start(&CycleStart {
+        sink.on(&Event::CycleStart(CycleStart {
             opt_cycle: 0,
             at_cycle: 0,
-        });
-        sink.phase_transition(&PhaseTransition {
+        }));
+        sink.on(&Event::PhaseTransition(PhaseTransition {
             at_cycle: 10,
             at_check: 2,
             to: PhaseKind::Hibernating,
             opt_cycle: 1,
             duty_cycle: 0.25,
-        });
+        }));
         assert_eq!(sink.records(), 2);
         assert_eq!(sink.write_errors(), 0);
         let records = lines(sink);
@@ -350,23 +198,23 @@ mod tests {
     fn cycle_end_carries_quality_snapshot() {
         let mut sink = JsonlSink::new(Vec::new());
         for block in 0..2u64 {
-            sink.prefetch_issued(&PrefetchIssued {
+            sink.on(&Event::PrefetchIssued(PrefetchIssued {
                 stream_id: 0,
                 addr: block * 32,
                 block,
                 at_cycle: 1,
                 at_ref: 0,
-            });
+            }));
         }
-        sink.prefetch_outcome(&PrefetchOutcome {
+        sink.on(&Event::PrefetchOutcome(PrefetchOutcome {
             stream_id: 0,
             block: 0,
             fate: PrefetchFate::Useful,
             issued_at_cycle: 1,
             resolved_at_cycle: 2,
             resolved_at_ref: 1,
-        });
-        sink.cycle_end(&CycleEnd::default());
+        }));
+        sink.on(&Event::CycleEnd(CycleEnd::default()));
         let records = lines(sink);
         let end = records.last().unwrap();
         assert_eq!(end.get("prefetch_accuracy"), Some(&Value::F64(0.5)));
@@ -384,13 +232,13 @@ mod tests {
     fn guard_trips_use_stable_labels() {
         use crate::events::GuardKind;
         let mut sink = JsonlSink::new(Vec::new());
-        sink.guard_tripped(&GuardTripped {
+        sink.on(&Event::GuardTripped(GuardTripped {
             guard: GuardKind::DfsmStates,
             budget: 64,
             observed: 65,
             opt_cycle: 0,
             at_cycle: 10,
-        });
+        }));
         let records = lines(sink);
         assert_eq!(
             records[0].get("event"),
@@ -423,7 +271,7 @@ mod tests {
         let flushes = Arc::new(AtomicU64::new(0));
         {
             let mut sink = JsonlSink::new(FlushCounter(Arc::clone(&flushes)));
-            sink.cycle_start(&CycleStart::default());
+            sink.on(&Event::CycleStart(CycleStart::default()));
             assert_eq!(flushes.load(Ordering::SeqCst), 0);
         }
         assert_eq!(flushes.load(Ordering::SeqCst), 1, "drop must flush");
@@ -433,7 +281,7 @@ mod tests {
         let moved = Arc::clone(&flushes_panic);
         let _ = std::panic::catch_unwind(move || {
             let mut sink = JsonlSink::new(FlushCounter(moved));
-            sink.cycle_start(&CycleStart::default());
+            sink.on(&Event::CycleStart(CycleStart::default()));
             panic!("simulated faulted run");
         });
         assert_eq!(flushes_panic.load(Ordering::SeqCst), 1, "unwind must flush");
@@ -448,23 +296,23 @@ mod tests {
     #[test]
     fn analysis_events_are_tagged() {
         let mut sink = JsonlSink::new(Vec::new());
-        sink.analysis_handoff(&AnalysisHandoff {
+        sink.on(&Event::AnalysisHandoff(AnalysisHandoff {
             opt_cycle: 0,
             at_cycle: 100,
             trace_len: 42,
-        });
-        sink.analysis_applied(&AnalysisApplied {
+        }));
+        sink.on(&Event::AnalysisApplied(AnalysisApplied {
             opt_cycle: 0,
             handoff_at_cycle: 100,
             at_cycle: 180,
             lag_cycles: 80,
-        });
-        sink.analysis_starved(&AnalysisStarved {
+        }));
+        sink.on(&Event::AnalysisStarved(AnalysisStarved {
             opt_cycle: 1,
             handoff_at_cycle: 300,
             at_cycle: 500,
             lag_cycles: 200,
-        });
+        }));
         let records = lines(sink);
         assert_eq!(
             records[0].get("event"),
@@ -485,25 +333,25 @@ mod tests {
     #[test]
     fn recovery_events_are_tagged() {
         let mut sink = JsonlSink::new(Vec::new());
-        sink.recovery_snapshot(&RecoverySnapshot {
+        sink.on(&Event::RecoverySnapshot(RecoverySnapshot {
             opt_cycle: 1,
             at_cycle: 4000,
             events_consumed: 81,
             bytes: 2048,
-        });
-        sink.recovery_replay(&RecoveryReplay {
+        }));
+        sink.on(&Event::RecoveryReplay(RecoveryReplay {
             events_consumed: 90,
             rolled_forward: true,
-        });
-        sink.recovery_restart(&RecoveryRestart {
+        }));
+        sink.on(&Event::RecoveryRestart(RecoveryRestart {
             attempt: 1,
             resumed_at_event: 81,
             backoff_cycles: 1000,
-        });
-        sink.recovery_gave_up(&RecoveryGaveUp {
+        }));
+        sink.on(&Event::RecoveryGaveUp(RecoveryGaveUp {
             restarts: 4,
             crashes: 5,
-        });
+        }));
         let records = lines(sink);
         assert_eq!(
             records[0].get("event"),
@@ -531,18 +379,18 @@ mod tests {
     fn serve_events_are_tagged_with_stable_labels() {
         use crate::events::ServeBudgetKind;
         let mut sink = JsonlSink::new(Vec::new());
-        sink.serve_session_opened(&ServeSessionOpened {
+        sink.on(&Event::ServeSessionOpened(ServeSessionOpened {
             tenant: 0xbeef,
             shard: 2,
             backend: 1,
-        });
-        sink.serve_shed(&ServeShed {
+        }));
+        sink.on(&Event::ServeShed(ServeShed {
             tenant: 0xbeef,
             shard: 2,
             kind: ServeBudgetKind::TenantQueue,
             budget: 4,
             observed: 5,
-        });
+        }));
         let records = lines(sink);
         assert_eq!(
             records[0].get("event"),
@@ -573,7 +421,7 @@ mod tests {
             }
         }
         let mut sink = JsonlSink::new(Broken);
-        sink.cycle_start(&CycleStart::default());
+        sink.on(&Event::CycleStart(CycleStart::default()));
         assert_eq!(sink.records(), 0);
         assert_eq!(sink.write_errors(), 1);
     }

@@ -4,8 +4,9 @@
 //! boundary of the profile → analyze → optimize → hibernate loop:
 //! phase transitions, cycle starts/ends, stream detection, DFSM
 //! construction, prefetch issue, prefetch outcome, and de-optimization.
-//! This crate defines those events ([`events`]), the [`Observer`] trait
-//! that receives them, and two production observers:
+//! This crate defines those events ([`events`]), the one [`Event`]
+//! stream that carries them, the [`Observer`] trait that receives it,
+//! and two production observers:
 //!
 //! - [`MetricsRecorder`]: in-memory counters, log-scaled histograms, and
 //!   per-stream prefetch accuracy / coverage / timeliness, renderable in
@@ -15,30 +16,29 @@
 //!
 //! # Zero overhead when off
 //!
-//! [`NullObserver`] implements every hook as an empty default method and
-//! sets [`Observer::ENABLED`] to `false`. Instrumented code is generic
-//! over `O: Observer`, so the `NullObserver` instantiation monomorphizes
-//! every emission site to nothing, and `O::ENABLED` lets callers skip
-//! even the *construction* of event payloads. The
-//! `observer_overhead` benchmark in `hds-bench` verifies the paired
-//! claim end to end.
+//! [`NullObserver`] overrides nothing and sets [`Observer::ENABLED`] to
+//! `false`. Instrumented code is generic over `O: Observer`, so the
+//! `NullObserver` instantiation monomorphizes every emission site to
+//! nothing, and `O::ENABLED` lets callers skip even the *construction*
+//! of event payloads. The `observer_overhead` benchmark in `hds-bench`
+//! verifies the paired claim end to end.
 //!
 //! # Examples
 //!
 //! ```
 //! use hds_telemetry::{MetricsRecorder, Observer};
-//! use hds_telemetry::events::{CycleEnd, PrefetchFate, PrefetchOutcome};
+//! use hds_telemetry::events::{CycleEnd, Event, PrefetchFate, PrefetchOutcome};
 //!
 //! let mut metrics = MetricsRecorder::new();
-//! metrics.prefetch_outcome(&PrefetchOutcome {
+//! metrics.on(&Event::PrefetchOutcome(PrefetchOutcome {
 //!     stream_id: 0,
 //!     block: 0x40,
 //!     fate: PrefetchFate::Useful,
 //!     issued_at_cycle: 100,
 //!     resolved_at_cycle: 190,
 //!     resolved_at_ref: 12,
-//! });
-//! metrics.cycle_end(&CycleEnd { opt_cycle: 0, at_cycle: 200, ..CycleEnd::default() });
+//! }));
+//! metrics.on(&Event::CycleEnd(CycleEnd { opt_cycle: 0, at_cycle: 200, ..CycleEnd::default() }));
 //! let text = metrics.render_prometheus();
 //! assert!(text.contains("hds_prefetch_outcomes_total{fate=\"useful\"} 1"));
 //! ```
@@ -53,25 +53,17 @@ mod metrics;
 pub use jsonl::JsonlSink;
 pub use metrics::{Histogram, MetricsRecorder, StreamMetrics};
 
-use events::{
-    AnalysisApplied, AnalysisHandoff, AnalysisStarved, ClusterMigrated, ClusterOwnerRestarted,
-    ClusterRehomed, CycleEnd, CycleStart, Deoptimize, DfsmBuilt, GuardTripped, PhaseTransition,
-    PrefetchIssued, PrefetchOutcome, RecoveryGaveUp, RecoveryReplay, RecoveryRestart,
-    RecoverySnapshot, ServeBusy, ServeSessionEvicted, ServeSessionOpened, ServeSessionResumed,
-    ServeShardPump, ServeShed, SpanEvent, StoreCompacted, StoreExpired, StoreFaultObserved,
-    StoreLoaded, StoreSpilled, StreamDetected,
-};
+use events::{Event, PhaseTransition, RecoverySnapshot, SpanEvent};
 
-/// Receiver of optimizer lifecycle events.
+/// Receiver of the event stream.
 ///
-/// Every hook has an empty default body, so observers implement only
-/// what they care about. Instrumentation sites should gate any work
-/// that exists *only* to build an event payload behind
-/// [`Observer::ENABLED`]:
+/// An observer implements [`Observer::on`] as one `match` over the
+/// [`Event`] kinds it cares about. Emission sites gate any work that
+/// exists *only* to build an event behind [`Observer::ENABLED`]:
 ///
 /// ```ignore
 /// if O::ENABLED {
-///     observer.stream_detected(&expensive_to_build_event());
+///     obs.on(&Event::StreamDetected(expensive_to_build_event()));
 /// }
 /// ```
 pub trait Observer {
@@ -80,88 +72,32 @@ pub trait Observer {
     /// to nothing when this is `false`.
     const ENABLED: bool = true;
 
-    /// The bursty tracer crossed an awake/hibernate boundary.
+    /// Receives one event. The default hands three kinds to the
+    /// provided methods below and drops the rest.
+    fn on(&mut self, event: &Event) {
+        match event {
+            Event::PhaseTransition(e) => self.phase_transition(e),
+            Event::RecoverySnapshot(e) => self.recovery_snapshot(e),
+            Event::Span(e) => self.span(e),
+            _ => {}
+        }
+    }
+
+    /// [`Event::PhaseTransition`] for an observer that keeps the default
+    /// [`Observer::on`]. Only that default calls this; it stays while
+    /// the benchmark's `WallObserver` (`perfbench/src/probe.rs`)
+    /// overrides it instead of `on`.
     fn phase_transition(&mut self, _event: &PhaseTransition) {}
-    /// A profile → analyze → optimize cycle began (profiling starts).
-    fn cycle_start(&mut self, _event: &CycleStart) {}
-    /// A cycle's awake phase finished: analysis ran, statistics final.
-    fn cycle_end(&mut self, _event: &CycleEnd) {}
-    /// A hot data stream was accepted for prefetching.
-    fn stream_detected(&mut self, _event: &StreamDetected) {}
-    /// A prefix-matching DFSM was built and injected.
-    fn dfsm_built(&mut self, _event: &DfsmBuilt) {}
-    /// A prefetch instruction was issued.
-    fn prefetch_issued(&mut self, _event: &PrefetchIssued) {}
-    /// An issued prefetch resolved (used, late, or evicted unused).
-    fn prefetch_outcome(&mut self, _event: &PrefetchOutcome) {}
-    /// Injected code was removed (fully at the end of a hibernation
-    /// span, or partially by the accuracy guard).
-    fn deoptimize(&mut self, _event: &Deoptimize) {}
-    /// A budget guard tripped and degraded the current cycle.
-    fn guard_tripped(&mut self, _event: &GuardTripped) {}
-    /// An awake-phase trace was handed to the background analysis
-    /// worker (concurrent-analysis mode).
-    fn analysis_handoff(&mut self, _event: &AnalysisHandoff) {}
-    /// A background analysis result was installed; the lag sample
-    /// measures the overlap with execution.
-    fn analysis_applied(&mut self, _event: &AnalysisApplied) {}
-    /// A background analysis result was discarded (worker starved).
-    fn analysis_starved(&mut self, _event: &AnalysisStarved) {}
-    /// A crash-consistent checkpoint was captured at a phase boundary.
+    /// [`Event::RecoverySnapshot`], kept on the same terms as
+    /// [`Observer::phase_transition`].
     fn recovery_snapshot(&mut self, _event: &RecoverySnapshot) {}
-    /// Crash recovery inspected (and possibly rolled forward) the
-    /// write-ahead edit journal.
-    fn recovery_replay(&mut self, _event: &RecoveryReplay) {}
-    /// The supervisor restarted a crashed session from its snapshot.
-    fn recovery_restart(&mut self, _event: &RecoveryRestart) {}
-    /// The supervisor's restart circuit breaker opened.
-    fn recovery_gave_up(&mut self, _event: &RecoveryGaveUp) {}
-    /// The serving layer admitted a tenant and opened its session.
-    fn serve_session_opened(&mut self, _event: &ServeSessionOpened) {}
-    /// The serving layer evicted a cold tenant's session to a snapshot
-    /// plus replay tail.
-    fn serve_session_evicted(&mut self, _event: &ServeSessionEvicted) {}
-    /// The serving layer rehydrated an evicted tenant's session.
-    fn serve_session_resumed(&mut self, _event: &ServeSessionResumed) {}
-    /// The serving layer dropped a trace chunk (a serve budget was
-    /// exhausted) and answered with a typed `Shed` frame.
-    fn serve_shed(&mut self, _event: &ServeShed) {}
-    /// The serving layer refused an `OpenSession` with a typed `Busy`
-    /// frame (session cap reached, eviction disabled).
-    fn serve_busy(&mut self, _event: &ServeBusy) {}
-    /// A serving shard drained its mailbox for one pump.
-    fn serve_shard_pump(&mut self, _event: &ServeShardPump) {}
-    /// The durable store spilled a hibernated tenant to disk and the
-    /// serve layer dropped its in-memory cold state.
-    fn store_spilled(&mut self, _event: &StoreSpilled) {}
-    /// The durable store loaded a spilled tenant back for rehydration.
-    fn store_loaded(&mut self, _event: &StoreLoaded) {}
-    /// The durable store compacted its segments at rest.
-    fn store_compacted(&mut self, _event: &StoreCompacted) {}
-    /// The durable store expired a dead tenant past its TTL.
-    fn store_expired(&mut self, _event: &StoreExpired) {}
-    /// A storage fault was observed and degraded gracefully.
-    fn store_fault(&mut self, _event: &StoreFaultObserved) {}
-    /// The cluster router completed a planned tenant migration between
-    /// owner processes (export → re-home → rehydrate → journal replay).
-    fn cluster_migrated(&mut self, _event: &ClusterMigrated) {}
-    /// The cluster router re-homed a tenant after its owner died,
-    /// rebuilding the session from the last refreshed record plus the
-    /// journaled tail.
-    fn cluster_rehomed(&mut self, _event: &ClusterRehomed) {}
-    /// The cluster supervisor restarted a dead owner process and the
-    /// router replayed its tenants back onto it.
-    fn cluster_owner_restarted(&mut self, _event: &ClusterOwnerRestarted) {}
-    /// A hierarchical span boundary (begin/end) or instant marker on
-    /// the phase timeline. Spans charge zero simulated cycles; the
-    /// flight recorder in `hds-flight` turns them into Perfetto-style
-    /// traces and crash dumps.
+    /// [`Event::Span`], kept on the same terms as
+    /// [`Observer::phase_transition`].
     fn span(&mut self, _event: &SpanEvent) {}
 }
 
-/// The do-nothing observer: every hook is a no-op and
-/// [`Observer::ENABLED`] is `false`, so instrumented code monomorphizes
-/// to exactly the uninstrumented code.
+/// The do-nothing observer: [`Observer::ENABLED`] is `false`, so
+/// instrumented code monomorphizes to exactly the uninstrumented code.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NullObserver;
 
@@ -174,98 +110,8 @@ impl Observer for NullObserver {
 impl<O: Observer> Observer for &mut O {
     const ENABLED: bool = O::ENABLED;
 
-    fn phase_transition(&mut self, event: &PhaseTransition) {
-        (**self).phase_transition(event);
-    }
-    fn cycle_start(&mut self, event: &CycleStart) {
-        (**self).cycle_start(event);
-    }
-    fn cycle_end(&mut self, event: &CycleEnd) {
-        (**self).cycle_end(event);
-    }
-    fn stream_detected(&mut self, event: &StreamDetected) {
-        (**self).stream_detected(event);
-    }
-    fn dfsm_built(&mut self, event: &DfsmBuilt) {
-        (**self).dfsm_built(event);
-    }
-    fn prefetch_issued(&mut self, event: &PrefetchIssued) {
-        (**self).prefetch_issued(event);
-    }
-    fn prefetch_outcome(&mut self, event: &PrefetchOutcome) {
-        (**self).prefetch_outcome(event);
-    }
-    fn deoptimize(&mut self, event: &Deoptimize) {
-        (**self).deoptimize(event);
-    }
-    fn guard_tripped(&mut self, event: &GuardTripped) {
-        (**self).guard_tripped(event);
-    }
-    fn analysis_handoff(&mut self, event: &AnalysisHandoff) {
-        (**self).analysis_handoff(event);
-    }
-    fn analysis_applied(&mut self, event: &AnalysisApplied) {
-        (**self).analysis_applied(event);
-    }
-    fn analysis_starved(&mut self, event: &AnalysisStarved) {
-        (**self).analysis_starved(event);
-    }
-    fn recovery_snapshot(&mut self, event: &RecoverySnapshot) {
-        (**self).recovery_snapshot(event);
-    }
-    fn recovery_replay(&mut self, event: &RecoveryReplay) {
-        (**self).recovery_replay(event);
-    }
-    fn recovery_restart(&mut self, event: &RecoveryRestart) {
-        (**self).recovery_restart(event);
-    }
-    fn recovery_gave_up(&mut self, event: &RecoveryGaveUp) {
-        (**self).recovery_gave_up(event);
-    }
-    fn serve_session_opened(&mut self, event: &ServeSessionOpened) {
-        (**self).serve_session_opened(event);
-    }
-    fn serve_session_evicted(&mut self, event: &ServeSessionEvicted) {
-        (**self).serve_session_evicted(event);
-    }
-    fn serve_session_resumed(&mut self, event: &ServeSessionResumed) {
-        (**self).serve_session_resumed(event);
-    }
-    fn serve_shed(&mut self, event: &ServeShed) {
-        (**self).serve_shed(event);
-    }
-    fn serve_busy(&mut self, event: &ServeBusy) {
-        (**self).serve_busy(event);
-    }
-    fn serve_shard_pump(&mut self, event: &ServeShardPump) {
-        (**self).serve_shard_pump(event);
-    }
-    fn store_spilled(&mut self, event: &StoreSpilled) {
-        (**self).store_spilled(event);
-    }
-    fn store_loaded(&mut self, event: &StoreLoaded) {
-        (**self).store_loaded(event);
-    }
-    fn store_compacted(&mut self, event: &StoreCompacted) {
-        (**self).store_compacted(event);
-    }
-    fn store_expired(&mut self, event: &StoreExpired) {
-        (**self).store_expired(event);
-    }
-    fn store_fault(&mut self, event: &StoreFaultObserved) {
-        (**self).store_fault(event);
-    }
-    fn cluster_migrated(&mut self, event: &ClusterMigrated) {
-        (**self).cluster_migrated(event);
-    }
-    fn cluster_rehomed(&mut self, event: &ClusterRehomed) {
-        (**self).cluster_rehomed(event);
-    }
-    fn cluster_owner_restarted(&mut self, event: &ClusterOwnerRestarted) {
-        (**self).cluster_owner_restarted(event);
-    }
-    fn span(&mut self, event: &SpanEvent) {
-        (**self).span(event);
+    fn on(&mut self, event: &Event) {
+        (**self).on(event);
     }
 }
 
@@ -273,129 +119,9 @@ impl<O: Observer> Observer for &mut O {
 impl<A: Observer, B: Observer> Observer for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
 
-    fn phase_transition(&mut self, event: &PhaseTransition) {
-        self.0.phase_transition(event);
-        self.1.phase_transition(event);
-    }
-    fn cycle_start(&mut self, event: &CycleStart) {
-        self.0.cycle_start(event);
-        self.1.cycle_start(event);
-    }
-    fn cycle_end(&mut self, event: &CycleEnd) {
-        self.0.cycle_end(event);
-        self.1.cycle_end(event);
-    }
-    fn stream_detected(&mut self, event: &StreamDetected) {
-        self.0.stream_detected(event);
-        self.1.stream_detected(event);
-    }
-    fn dfsm_built(&mut self, event: &DfsmBuilt) {
-        self.0.dfsm_built(event);
-        self.1.dfsm_built(event);
-    }
-    fn prefetch_issued(&mut self, event: &PrefetchIssued) {
-        self.0.prefetch_issued(event);
-        self.1.prefetch_issued(event);
-    }
-    fn prefetch_outcome(&mut self, event: &PrefetchOutcome) {
-        self.0.prefetch_outcome(event);
-        self.1.prefetch_outcome(event);
-    }
-    fn deoptimize(&mut self, event: &Deoptimize) {
-        self.0.deoptimize(event);
-        self.1.deoptimize(event);
-    }
-    fn guard_tripped(&mut self, event: &GuardTripped) {
-        self.0.guard_tripped(event);
-        self.1.guard_tripped(event);
-    }
-    fn analysis_handoff(&mut self, event: &AnalysisHandoff) {
-        self.0.analysis_handoff(event);
-        self.1.analysis_handoff(event);
-    }
-    fn analysis_applied(&mut self, event: &AnalysisApplied) {
-        self.0.analysis_applied(event);
-        self.1.analysis_applied(event);
-    }
-    fn analysis_starved(&mut self, event: &AnalysisStarved) {
-        self.0.analysis_starved(event);
-        self.1.analysis_starved(event);
-    }
-    fn recovery_snapshot(&mut self, event: &RecoverySnapshot) {
-        self.0.recovery_snapshot(event);
-        self.1.recovery_snapshot(event);
-    }
-    fn recovery_replay(&mut self, event: &RecoveryReplay) {
-        self.0.recovery_replay(event);
-        self.1.recovery_replay(event);
-    }
-    fn recovery_restart(&mut self, event: &RecoveryRestart) {
-        self.0.recovery_restart(event);
-        self.1.recovery_restart(event);
-    }
-    fn recovery_gave_up(&mut self, event: &RecoveryGaveUp) {
-        self.0.recovery_gave_up(event);
-        self.1.recovery_gave_up(event);
-    }
-    fn serve_session_opened(&mut self, event: &ServeSessionOpened) {
-        self.0.serve_session_opened(event);
-        self.1.serve_session_opened(event);
-    }
-    fn serve_session_evicted(&mut self, event: &ServeSessionEvicted) {
-        self.0.serve_session_evicted(event);
-        self.1.serve_session_evicted(event);
-    }
-    fn serve_session_resumed(&mut self, event: &ServeSessionResumed) {
-        self.0.serve_session_resumed(event);
-        self.1.serve_session_resumed(event);
-    }
-    fn serve_shed(&mut self, event: &ServeShed) {
-        self.0.serve_shed(event);
-        self.1.serve_shed(event);
-    }
-    fn serve_busy(&mut self, event: &ServeBusy) {
-        self.0.serve_busy(event);
-        self.1.serve_busy(event);
-    }
-    fn serve_shard_pump(&mut self, event: &ServeShardPump) {
-        self.0.serve_shard_pump(event);
-        self.1.serve_shard_pump(event);
-    }
-    fn store_spilled(&mut self, event: &StoreSpilled) {
-        self.0.store_spilled(event);
-        self.1.store_spilled(event);
-    }
-    fn store_loaded(&mut self, event: &StoreLoaded) {
-        self.0.store_loaded(event);
-        self.1.store_loaded(event);
-    }
-    fn store_compacted(&mut self, event: &StoreCompacted) {
-        self.0.store_compacted(event);
-        self.1.store_compacted(event);
-    }
-    fn store_expired(&mut self, event: &StoreExpired) {
-        self.0.store_expired(event);
-        self.1.store_expired(event);
-    }
-    fn store_fault(&mut self, event: &StoreFaultObserved) {
-        self.0.store_fault(event);
-        self.1.store_fault(event);
-    }
-    fn cluster_migrated(&mut self, event: &ClusterMigrated) {
-        self.0.cluster_migrated(event);
-        self.1.cluster_migrated(event);
-    }
-    fn cluster_rehomed(&mut self, event: &ClusterRehomed) {
-        self.0.cluster_rehomed(event);
-        self.1.cluster_rehomed(event);
-    }
-    fn cluster_owner_restarted(&mut self, event: &ClusterOwnerRestarted) {
-        self.0.cluster_owner_restarted(event);
-        self.1.cluster_owner_restarted(event);
-    }
-    fn span(&mut self, event: &SpanEvent) {
-        self.0.span(event);
-        self.1.span(event);
+    fn on(&mut self, event: &Event) {
+        self.0.on(event);
+        self.1.on(event);
     }
 }
 
@@ -410,11 +136,12 @@ mod tests {
     }
 
     impl Observer for Counting {
-        fn cycle_end(&mut self, _event: &CycleEnd) {
-            self.seen += 1;
-        }
-        fn span(&mut self, _event: &SpanEvent) {
-            self.spans += 1;
+        fn on(&mut self, event: &Event) {
+            match event {
+                Event::CycleEnd(_) => self.seen += 1,
+                Event::Span(_) => self.spans += 1,
+                _ => {}
+            }
         }
     }
 
@@ -430,17 +157,10 @@ mod tests {
 
     #[test]
     fn pair_fans_out() {
-        use events::{SpanKind, SpanPhase};
+        use events::{CycleEnd, SpanKind};
         let mut pair = (Counting::default(), Counting::default());
-        pair.cycle_end(&CycleEnd::default());
-        pair.span(&SpanEvent {
-            kind: SpanKind::Profile,
-            phase: SpanPhase::Begin,
-            at_cycle: 0,
-            track: 0,
-            a: 0,
-            b: 0,
-        });
+        pair.on(&Event::CycleEnd(CycleEnd::default()));
+        pair.on(&Event::Span(SpanEvent::begin(SpanKind::Profile, 0)));
         assert_eq!(pair.0.seen, 1);
         assert_eq!(pair.1.seen, 1);
         assert_eq!(pair.0.spans, 1);
@@ -451,8 +171,8 @@ mod tests {
     fn mut_ref_forwards() {
         let mut c = Counting::default();
         {
-            let obs = &mut c;
-            obs.cycle_end(&CycleEnd::default());
+            let mut obs = &mut c;
+            <&mut Counting as Observer>::on(&mut obs, &Event::CycleEnd(Default::default()));
         }
         assert_eq!(c.seen, 1);
         const { assert!(<&mut Counting as Observer>::ENABLED) };

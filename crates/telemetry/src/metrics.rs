@@ -4,14 +4,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
-use crate::events::{
-    AnalysisApplied, AnalysisHandoff, AnalysisStarved, ClusterMigrated, ClusterOwnerRestarted,
-    ClusterRehomed, CycleEnd, CycleStart, Deoptimize, DfsmBuilt, GuardKind, GuardTripped,
-    PhaseKind, PhaseTransition, PrefetchFate, PrefetchIssued, PrefetchOutcome, RecoveryGaveUp,
-    RecoveryReplay, RecoveryRestart, RecoverySnapshot, ServeBudgetKind, ServeBusy,
-    ServeSessionEvicted, ServeSessionOpened, ServeSessionResumed, ServeShardPump, ServeShed,
-    StoreCompacted, StoreExpired, StoreFaultObserved, StoreLoaded, StoreSpilled, StreamDetected,
-};
+use crate::events::{Event, GuardKind, PhaseKind, PrefetchFate, ServeBudgetKind};
 use crate::Observer;
 
 /// A power-of-two-bucketed histogram of `u64` samples.
@@ -917,179 +910,128 @@ impl MetricsRecorder {
 }
 
 impl Observer for MetricsRecorder {
-    fn phase_transition(&mut self, event: &PhaseTransition) {
-        match event.to {
-            PhaseKind::Awake => self.phase_transitions_awake += 1,
-            PhaseKind::Hibernating => self.phase_transitions_hibernate += 1,
-        }
-        self.last_duty_cycle = event.duty_cycle;
-    }
-
-    fn cycle_start(&mut self, _event: &CycleStart) {
-        self.cycles_started += 1;
-        // Stale correlation entries from a de-optimized cycle would
-        // mis-attribute lead distances across cycles; drop them.
-        self.pending_issue_ref.clear();
-    }
-
-    fn cycle_end(&mut self, event: &CycleEnd) {
-        self.cycles_completed += 1;
-        self.traced_refs_total += event.traced_refs;
-    }
-
-    fn stream_detected(&mut self, event: &StreamDetected) {
-        self.streams_detected += 1;
-        self.stream_length.record(event.len as u64);
-    }
-
-    fn dfsm_built(&mut self, event: &DfsmBuilt) {
-        self.dfsms_built += 1;
-        self.dfsm_state_count.record(event.states as u64);
-    }
-
-    fn prefetch_issued(&mut self, event: &PrefetchIssued) {
-        self.prefetches_issued += 1;
-        self.per_stream.entry(event.stream_id).or_default().issued += 1;
-        self.pending_issue_ref
-            .entry(event.block)
-            .or_insert(event.at_ref);
-    }
-
-    fn prefetch_outcome(&mut self, event: &PrefetchOutcome) {
-        self.outcomes[event.fate as usize] += 1;
-        let s = self.per_stream.entry(event.stream_id).or_default();
-        match event.fate {
-            PrefetchFate::Useful => s.useful += 1,
-            PrefetchFate::Late => s.late += 1,
-            PrefetchFate::Polluted => s.polluted += 1,
-        }
-        if matches!(event.fate, PrefetchFate::Useful | PrefetchFate::Late) {
-            self.match_to_access_cycles.record(event.latency_cycles());
-        }
-        if let Some(issue_ref) = self.pending_issue_ref.remove(&event.block) {
-            if event.fate != PrefetchFate::Polluted {
-                self.prefetch_lead_refs
-                    .record(event.resolved_at_ref.saturating_sub(issue_ref));
+    fn on(&mut self, event: &Event) {
+        match event {
+            Event::PhaseTransition(e) => {
+                match e.to {
+                    PhaseKind::Awake => self.phase_transitions_awake += 1,
+                    PhaseKind::Hibernating => self.phase_transitions_hibernate += 1,
+                }
+                self.last_duty_cycle = e.duty_cycle;
             }
+            Event::CycleStart(_) => {
+                self.cycles_started += 1;
+                // Stale correlation entries from a de-optimized cycle
+                // would mis-attribute lead distances across cycles.
+                self.pending_issue_ref.clear();
+            }
+            Event::CycleEnd(e) => {
+                self.cycles_completed += 1;
+                self.traced_refs_total += e.traced_refs;
+            }
+            Event::StreamDetected(e) => {
+                self.streams_detected += 1;
+                self.stream_length.record(e.len as u64);
+            }
+            Event::DfsmBuilt(e) => {
+                self.dfsms_built += 1;
+                self.dfsm_state_count.record(e.states as u64);
+            }
+            Event::PrefetchIssued(e) => {
+                self.prefetches_issued += 1;
+                self.per_stream.entry(e.stream_id).or_default().issued += 1;
+                self.pending_issue_ref.entry(e.block).or_insert(e.at_ref);
+            }
+            Event::PrefetchOutcome(e) => {
+                self.outcomes[e.fate as usize] += 1;
+                let s = self.per_stream.entry(e.stream_id).or_default();
+                match e.fate {
+                    PrefetchFate::Useful => s.useful += 1,
+                    PrefetchFate::Late => s.late += 1,
+                    PrefetchFate::Polluted => s.polluted += 1,
+                }
+                if e.fate != PrefetchFate::Polluted {
+                    self.match_to_access_cycles.record(e.latency_cycles());
+                }
+                if let Some(issue_ref) = self.pending_issue_ref.remove(&e.block) {
+                    if e.fate != PrefetchFate::Polluted {
+                        self.prefetch_lead_refs
+                            .record(e.resolved_at_ref.saturating_sub(issue_ref));
+                    }
+                }
+            }
+            Event::Deoptimize(e) => {
+                self.deopts += 1;
+                self.partial_deopts += u64::from(e.partial);
+            }
+            Event::GuardTripped(e) => self.guard_trips[e.guard as usize] += 1,
+            Event::AnalysisHandoff(_) => self.analysis_handoffs += 1,
+            Event::AnalysisApplied(e) => {
+                self.analysis_applied += 1;
+                self.worker_lag_cycles.record(e.lag_cycles);
+            }
+            Event::AnalysisStarved(e) => {
+                self.analysis_starved += 1;
+                self.worker_lag_cycles.record(e.lag_cycles);
+            }
+            Event::RecoverySnapshot(_) => self.recovery_snapshots += 1,
+            Event::RecoveryReplay(e) => {
+                self.recovery_replays += 1;
+                self.recovery_rollforwards += u64::from(e.rolled_forward);
+            }
+            Event::RecoveryRestart(e) => {
+                self.recovery_restarts += 1;
+                self.recovery_backoff_cycles += e.backoff_cycles;
+            }
+            Event::RecoveryGaveUp(_) => self.recovery_gave_up += 1,
+            Event::ServeSessionOpened(e) => {
+                self.serve_opened += 1;
+                if let Some(slot) = self.serve_opened_by_backend.get_mut(e.backend as usize) {
+                    *slot += 1;
+                }
+            }
+            Event::ServeSessionEvicted(_) => self.serve_evicted += 1,
+            Event::ServeSessionResumed(e) => {
+                self.serve_resumed += 1;
+                self.serve_replayed_events += e.replayed_events;
+            }
+            Event::ServeShed(e) => self.serve_shed[e.kind as usize] += 1,
+            Event::ServeBusy(_) => self.serve_busy += 1,
+            Event::ServeShardPump(e) => {
+                self.serve_queue_depth.record(e.queued);
+                let shard = self.per_shard.entry(e.shard).or_default();
+                shard.0 += e.frames;
+                shard.1 += e.events;
+            }
+            Event::StoreSpilled(e) => {
+                self.store_spilled += 1;
+                self.store_spilled_bytes += e.bytes;
+            }
+            Event::StoreLoaded(e) => {
+                self.store_loaded += 1;
+                self.store_loaded_bytes += e.bytes;
+            }
+            Event::StoreCompacted(_) => self.store_compactions += 1,
+            Event::StoreExpired(_) => self.store_expired += 1,
+            Event::StoreFault(_) => self.store_faults += 1,
+            Event::ClusterMigrated(e) => {
+                self.cluster_migrations += 1;
+                self.cluster_replayed_chunks += e.replayed_chunks;
+            }
+            Event::ClusterRehomed(e) => {
+                self.cluster_rehomes += 1;
+                self.cluster_replayed_chunks += e.replayed_chunks;
+            }
+            Event::ClusterOwnerRestarted(_) => self.cluster_owner_restarts += 1,
+            Event::Span(_) => {}
         }
-    }
-
-    fn deoptimize(&mut self, event: &Deoptimize) {
-        self.deopts += 1;
-        if event.partial {
-            self.partial_deopts += 1;
-        }
-    }
-
-    fn guard_tripped(&mut self, event: &GuardTripped) {
-        self.guard_trips[event.guard as usize] += 1;
-    }
-
-    fn analysis_handoff(&mut self, _event: &AnalysisHandoff) {
-        self.analysis_handoffs += 1;
-    }
-
-    fn analysis_applied(&mut self, event: &AnalysisApplied) {
-        self.analysis_applied += 1;
-        self.worker_lag_cycles.record(event.lag_cycles);
-    }
-
-    fn analysis_starved(&mut self, event: &AnalysisStarved) {
-        self.analysis_starved += 1;
-        self.worker_lag_cycles.record(event.lag_cycles);
-    }
-
-    fn recovery_snapshot(&mut self, _event: &RecoverySnapshot) {
-        self.recovery_snapshots += 1;
-    }
-
-    fn recovery_replay(&mut self, event: &RecoveryReplay) {
-        self.recovery_replays += 1;
-        if event.rolled_forward {
-            self.recovery_rollforwards += 1;
-        }
-    }
-
-    fn recovery_restart(&mut self, event: &RecoveryRestart) {
-        self.recovery_restarts += 1;
-        self.recovery_backoff_cycles += event.backoff_cycles;
-    }
-
-    fn recovery_gave_up(&mut self, _event: &RecoveryGaveUp) {
-        self.recovery_gave_up += 1;
-    }
-
-    fn serve_session_opened(&mut self, event: &ServeSessionOpened) {
-        self.serve_opened += 1;
-        if let Some(slot) = self.serve_opened_by_backend.get_mut(event.backend as usize) {
-            *slot += 1;
-        }
-    }
-
-    fn serve_session_evicted(&mut self, _event: &ServeSessionEvicted) {
-        self.serve_evicted += 1;
-    }
-
-    fn serve_session_resumed(&mut self, event: &ServeSessionResumed) {
-        self.serve_resumed += 1;
-        self.serve_replayed_events += event.replayed_events;
-    }
-
-    fn serve_shed(&mut self, event: &ServeShed) {
-        self.serve_shed[event.kind as usize] += 1;
-    }
-
-    fn serve_busy(&mut self, _event: &ServeBusy) {
-        self.serve_busy += 1;
-    }
-
-    fn serve_shard_pump(&mut self, event: &ServeShardPump) {
-        self.serve_queue_depth.record(event.queued);
-        let shard = self.per_shard.entry(event.shard).or_default();
-        shard.0 += event.frames;
-        shard.1 += event.events;
-    }
-
-    fn store_spilled(&mut self, event: &StoreSpilled) {
-        self.store_spilled += 1;
-        self.store_spilled_bytes += event.bytes;
-    }
-
-    fn store_loaded(&mut self, event: &StoreLoaded) {
-        self.store_loaded += 1;
-        self.store_loaded_bytes += event.bytes;
-    }
-
-    fn store_compacted(&mut self, _event: &StoreCompacted) {
-        self.store_compactions += 1;
-    }
-
-    fn store_expired(&mut self, _event: &StoreExpired) {
-        self.store_expired += 1;
-    }
-
-    fn store_fault(&mut self, _event: &StoreFaultObserved) {
-        self.store_faults += 1;
-    }
-
-    fn cluster_migrated(&mut self, event: &ClusterMigrated) {
-        self.cluster_migrations += 1;
-        self.cluster_replayed_chunks += event.replayed_chunks;
-    }
-
-    fn cluster_rehomed(&mut self, event: &ClusterRehomed) {
-        self.cluster_rehomes += 1;
-        self.cluster_replayed_chunks += event.replayed_chunks;
-    }
-
-    fn cluster_owner_restarted(&mut self, _event: &ClusterOwnerRestarted) {
-        self.cluster_owner_restarts += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::*;
 
     #[test]
     fn histogram_buckets_are_log2() {
@@ -1126,18 +1068,22 @@ mod tests {
     fn per_stream_quality_ratios() {
         let mut m = MetricsRecorder::new();
         for block in 0..4 {
-            m.prefetch_issued(&PrefetchIssued {
+            m.on(&Event::PrefetchIssued(PrefetchIssued {
                 stream_id: 7,
                 addr: block * 32,
                 block,
                 at_cycle: 100,
                 at_ref: 10,
-            });
+            }));
         }
-        m.prefetch_outcome(&outcome(7, 0, PrefetchFate::Useful));
-        m.prefetch_outcome(&outcome(7, 1, PrefetchFate::Useful));
-        m.prefetch_outcome(&outcome(7, 2, PrefetchFate::Late));
-        m.prefetch_outcome(&outcome(7, 3, PrefetchFate::Polluted));
+        m.on(&Event::PrefetchOutcome(outcome(7, 0, PrefetchFate::Useful)));
+        m.on(&Event::PrefetchOutcome(outcome(7, 1, PrefetchFate::Useful)));
+        m.on(&Event::PrefetchOutcome(outcome(7, 2, PrefetchFate::Late)));
+        m.on(&Event::PrefetchOutcome(outcome(
+            7,
+            3,
+            PrefetchFate::Polluted,
+        )));
         let s = m.per_stream()[&7];
         assert_eq!(s.issued, 4);
         assert!((s.accuracy() - 0.5).abs() < 1e-9);
@@ -1151,27 +1097,27 @@ mod tests {
     #[test]
     fn guard_trips_and_partial_deopts_are_counted() {
         let mut m = MetricsRecorder::new();
-        m.guard_tripped(&GuardTripped {
+        m.on(&Event::GuardTripped(GuardTripped {
             guard: GuardKind::GrammarRules,
             budget: 100,
             observed: 101,
             opt_cycle: 0,
             at_cycle: 50,
-        });
-        m.guard_tripped(&GuardTripped {
+        }));
+        m.on(&Event::GuardTripped(GuardTripped {
             guard: GuardKind::PrefetchQueue,
             budget: 8,
             observed: 12,
             opt_cycle: 1,
             at_cycle: 90,
-        });
-        m.deoptimize(&Deoptimize {
+        }));
+        m.on(&Event::Deoptimize(Deoptimize {
             at_cycle: 100,
             opt_cycle: 1,
             partial: true,
             stream_id: Some(3),
-        });
-        m.deoptimize(&Deoptimize::default());
+        }));
+        m.on(&Event::Deoptimize(Deoptimize::default()));
         assert_eq!(m.guard_trips(GuardKind::GrammarRules), 1);
         assert_eq!(m.guard_trips(GuardKind::AnalysisCycles), 0);
         assert_eq!(m.guard_trips_total(), 2);
@@ -1186,40 +1132,40 @@ mod tests {
     #[test]
     fn analysis_counters_and_worker_lag_histogram() {
         let mut m = MetricsRecorder::new();
-        m.analysis_handoff(&AnalysisHandoff {
+        m.on(&Event::AnalysisHandoff(AnalysisHandoff {
             opt_cycle: 0,
             at_cycle: 10,
             trace_len: 100,
-        });
-        m.analysis_applied(&AnalysisApplied {
+        }));
+        m.on(&Event::AnalysisApplied(AnalysisApplied {
             opt_cycle: 0,
             handoff_at_cycle: 10,
             at_cycle: 74,
             lag_cycles: 64,
-        });
-        m.analysis_handoff(&AnalysisHandoff {
+        }));
+        m.on(&Event::AnalysisHandoff(AnalysisHandoff {
             opt_cycle: 1,
             at_cycle: 200,
             trace_len: 100,
-        });
-        m.analysis_starved(&AnalysisStarved {
+        }));
+        m.on(&Event::AnalysisStarved(AnalysisStarved {
             opt_cycle: 1,
             handoff_at_cycle: 200,
             at_cycle: 1000,
             lag_cycles: 800,
-        });
+        }));
         assert_eq!(m.analysis_handoffs(), 2);
         assert_eq!(m.analyses_applied(), 1);
         assert_eq!(m.analyses_starved(), 1);
         assert_eq!(m.worker_lag_cycles().count(), 2);
         assert_eq!(m.worker_lag_cycles().sum(), 864);
-        m.guard_tripped(&GuardTripped {
+        m.on(&Event::GuardTripped(GuardTripped {
             guard: GuardKind::WorkerLag,
             budget: 500,
             observed: 800,
             opt_cycle: 1,
             at_cycle: 1000,
-        });
+        }));
         assert_eq!(m.guard_trips(GuardKind::WorkerLag), 1);
         let text = m.render_prometheus();
         assert!(text.contains("hds_analysis_handoffs_total 2"));
@@ -1231,40 +1177,40 @@ mod tests {
     #[test]
     fn recovery_counters_accumulate() {
         let mut m = MetricsRecorder::new();
-        m.recovery_snapshot(&RecoverySnapshot {
+        m.on(&Event::RecoverySnapshot(RecoverySnapshot {
             opt_cycle: 0,
             at_cycle: 100,
             events_consumed: 10,
             bytes: 512,
-        });
-        m.recovery_snapshot(&RecoverySnapshot {
+        }));
+        m.on(&Event::RecoverySnapshot(RecoverySnapshot {
             opt_cycle: 1,
             at_cycle: 300,
             events_consumed: 30,
             bytes: 768,
-        });
-        m.recovery_replay(&RecoveryReplay {
+        }));
+        m.on(&Event::RecoveryReplay(RecoveryReplay {
             events_consumed: 35,
             rolled_forward: true,
-        });
-        m.recovery_replay(&RecoveryReplay {
+        }));
+        m.on(&Event::RecoveryReplay(RecoveryReplay {
             events_consumed: 40,
             rolled_forward: false,
-        });
-        m.recovery_restart(&RecoveryRestart {
+        }));
+        m.on(&Event::RecoveryRestart(RecoveryRestart {
             attempt: 1,
             resumed_at_event: 30,
             backoff_cycles: 1000,
-        });
-        m.recovery_restart(&RecoveryRestart {
+        }));
+        m.on(&Event::RecoveryRestart(RecoveryRestart {
             attempt: 2,
             resumed_at_event: 30,
             backoff_cycles: 2000,
-        });
-        m.recovery_gave_up(&RecoveryGaveUp {
+        }));
+        m.on(&Event::RecoveryGaveUp(RecoveryGaveUp {
             restarts: 2,
             crashes: 3,
-        });
+        }));
         assert_eq!(m.recovery_snapshots(), 2);
         assert_eq!(m.recovery_replays(), 2);
         assert_eq!(m.recovery_rollforwards(), 1);
@@ -1281,59 +1227,59 @@ mod tests {
     #[test]
     fn serve_counters_histograms_and_labels() {
         let mut m = MetricsRecorder::new();
-        m.serve_session_opened(&ServeSessionOpened {
+        m.on(&Event::ServeSessionOpened(ServeSessionOpened {
             tenant: 1,
             shard: 0,
             backend: 0,
-        });
-        m.serve_session_opened(&ServeSessionOpened {
+        }));
+        m.on(&Event::ServeSessionOpened(ServeSessionOpened {
             tenant: 2,
             shard: 1,
             backend: 1,
-        });
-        m.serve_session_evicted(&ServeSessionEvicted {
+        }));
+        m.on(&Event::ServeSessionEvicted(ServeSessionEvicted {
             tenant: 1,
             shard: 0,
             snapshot_bytes: 512,
             tail_events: 3,
-        });
-        m.serve_session_resumed(&ServeSessionResumed {
+        }));
+        m.on(&Event::ServeSessionResumed(ServeSessionResumed {
             tenant: 1,
             shard: 0,
             replayed_events: 3,
-        });
-        m.serve_shed(&ServeShed {
+        }));
+        m.on(&Event::ServeShed(ServeShed {
             tenant: 2,
             shard: 1,
             kind: ServeBudgetKind::TenantQueue,
             budget: 4,
             observed: 5,
-        });
-        m.serve_shed(&ServeShed {
+        }));
+        m.on(&Event::ServeShed(ServeShed {
             tenant: 2,
             shard: 1,
             kind: ServeBudgetKind::GlobalBytes,
             budget: 1024,
             observed: 2048,
-        });
-        m.serve_busy(&ServeBusy {
+        }));
+        m.on(&Event::ServeBusy(ServeBusy {
             tenant: 3,
             shard: 1,
             budget: 2,
             observed: 2,
-        });
-        m.serve_shard_pump(&ServeShardPump {
+        }));
+        m.on(&Event::ServeShardPump(ServeShardPump {
             shard: 0,
             queued: 4,
             frames: 4,
             events: 37,
-        });
-        m.serve_shard_pump(&ServeShardPump {
+        }));
+        m.on(&Event::ServeShardPump(ServeShardPump {
             shard: 1,
             queued: 0,
             frames: 0,
             events: 0,
-        });
+        }));
         assert_eq!(m.serve_sessions_opened(), 2);
         assert_eq!(m.serve_sessions_opened_by_backend(), [1, 1, 0]);
         assert_eq!(m.serve_sessions_evicted(), 1);
@@ -1368,20 +1314,20 @@ mod tests {
     #[test]
     fn prometheus_render_is_well_formed() {
         let mut m = MetricsRecorder::new();
-        m.prefetch_issued(&PrefetchIssued {
+        m.on(&Event::PrefetchIssued(PrefetchIssued {
             stream_id: 1,
             addr: 64,
             block: 2,
             at_cycle: 5,
             at_ref: 1,
-        });
-        m.prefetch_outcome(&outcome(1, 2, PrefetchFate::Useful));
-        m.stream_detected(&StreamDetected {
+        }));
+        m.on(&Event::PrefetchOutcome(outcome(1, 2, PrefetchFate::Useful)));
+        m.on(&Event::StreamDetected(StreamDetected {
             opt_cycle: 0,
             stream_id: 1,
             len: 12,
             head_len: 2,
-        });
+        }));
         let text = m.render_prometheus();
         for line in text.lines() {
             if line.starts_with('#') {

@@ -2,8 +2,8 @@
 //!
 //! `hds-core` and `hds-serve` emit hierarchical [`SpanEvent`]s —
 //! profile/hibernate phases, the analysis and DFSM-build passes, image
-//! edits, background-worker jobs, serve frames — through the same
-//! zero-cost-when-off [`Observer`] channel as the rest of the
+//! edits, background-worker jobs, serve frames — as [`Event::Span`] on
+//! the same zero-cost-when-off [`Observer`] stream as the rest of the
 //! telemetry. This crate turns that stream into three artifacts:
 //!
 //! - [`FlightRecorder`]: a fixed-size ring buffer of recent spans and
@@ -28,13 +28,11 @@
 //! # Examples
 //!
 //! ```
-//! use hds_flight::FlightRecorder;
-//! use hds_telemetry::events::{SpanEvent, SpanKind};
-//! use hds_telemetry::Observer;
+//! use hds_flight::{Event, FlightRecorder, Observer, SpanEvent, SpanKind};
 //!
 //! let mut rec = FlightRecorder::new(1024);
-//! rec.span(&SpanEvent::begin(SpanKind::Profile, 0));
-//! rec.span(&SpanEvent::end(SpanKind::Profile, 500));
+//! rec.on(&Event::Span(SpanEvent::begin(SpanKind::Profile, 0)));
+//! rec.on(&Event::Span(SpanEvent::end(SpanKind::Profile, 500)));
 //! let records = rec.records();
 //! assert_eq!(records.len(), 2);
 //! assert_eq!(records[0].name, "profile");
@@ -53,5 +51,5 @@ pub use recorder::{DumpPolicy, FlightRecord, FlightRecorder};
 
 // Convenience re-exports so embedders wiring a recorder need only this
 // crate.
-pub use hds_telemetry::events::{SpanEvent, SpanKind, SpanPhase};
+pub use hds_telemetry::events::{Event, SpanEvent, SpanKind, SpanPhase};
 pub use hds_telemetry::Observer;

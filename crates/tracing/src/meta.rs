@@ -15,7 +15,8 @@ pub struct RunMeta {
     /// Short git revision of the working tree (`"unknown"` outside a
     /// repository).
     pub git_rev: String,
-    /// Whether the working tree had uncommitted changes at capture.
+    /// Whether the working tree had uncommitted changes at capture,
+    /// not counting `results/`, which the bench bins themselves write.
     pub git_dirty: bool,
     /// `hds_core::config_fingerprint` of the measured configuration,
     /// rendered as 16 hex digits (`"none"` when the artifact spans
@@ -37,7 +38,7 @@ impl RunMeta {
         RunMeta {
             git_rev: git_output(&["rev-parse", "--short=12", "HEAD"])
                 .unwrap_or_else(|| "unknown".to_string()),
-            git_dirty: git_output(&["status", "--porcelain"]).is_some_and(|s| !s.is_empty()),
+            git_dirty: git_dirty("."),
             config_fingerprint: fingerprint
                 .map_or_else(|| "none".to_string(), |f| format!("{f:016x}")),
             timestamp_unix_s: std::time::SystemTime::now()
@@ -64,6 +65,20 @@ impl Serialize for RunMeta {
             ),
         ])
     }
+}
+
+/// Whether `git status` in `dir` lists a change outside `results/`.
+fn git_dirty(dir: &str) -> bool {
+    git_output(&[
+        "-C",
+        dir,
+        "status",
+        "--porcelain",
+        "--",
+        ".",
+        ":(exclude)results",
+    ])
+    .is_some_and(|s| !s.is_empty())
 }
 
 /// Trimmed stdout of `git <args>`, or `None` when git is unavailable
@@ -99,6 +114,36 @@ mod tests {
             v.get("schema_version"),
             Some(&Value::U64(u64::from(SCHEMA_VERSION)))
         );
+    }
+
+    #[test]
+    fn dirty_ignores_results_but_not_sources() {
+        let dir = std::env::temp_dir().join(format!("hds-meta-dirty-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("results")).unwrap();
+        let path = dir.to_str().unwrap();
+        let git = |args: &[&str]| {
+            let ok = std::process::Command::new("git")
+                .args(["-C", path, "-c", "user.name=t", "-c", "user.email=t@t"])
+                .args(["-c", "commit.gpgsign=false"])
+                .args(args)
+                .output()
+                .unwrap()
+                .status
+                .success();
+            assert!(ok, "git {args:?}");
+        };
+        std::fs::write(dir.join("lib.rs"), "a").unwrap();
+        std::fs::write(dir.join("results/BENCH_x.json"), "1").unwrap();
+        git(&["init", "-q"]);
+        git(&["add", "."]);
+        git(&["commit", "-q", "-m", "seed"]);
+        assert!(!git_dirty(path), "fresh commit");
+        std::fs::write(dir.join("results/BENCH_x.json"), "2").unwrap();
+        assert!(!git_dirty(path), "a rewritten result alone is clean");
+        std::fs::write(dir.join("lib.rs"), "b").unwrap();
+        assert!(git_dirty(path), "a modified source is dirty");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

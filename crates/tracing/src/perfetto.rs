@@ -245,13 +245,13 @@ fn validate_event_list(events: &[(String, String, u64, u32)]) -> Result<(), Nest
 mod tests {
     use super::*;
     use crate::recorder::FlightRecorder;
-    use hds_telemetry::events::{SpanEvent, SpanKind};
+    use hds_telemetry::events::{Event, SpanEvent, SpanKind};
     use hds_telemetry::Observer;
 
     fn rec_with(events: &[SpanEvent]) -> Vec<FlightRecord> {
         let mut rec = FlightRecorder::new(64);
         for e in events {
-            rec.span(e);
+            rec.on(&Event::Span(*e));
         }
         rec.records()
     }

@@ -90,8 +90,8 @@ impl Default for DumpPolicy {
 ///
 /// Records every [`tev::SpanEvent`] plus the discrete events worth a
 /// black-box line (cycle boundaries, guard trips, de-optimizations,
-/// recovery, serve admission outcomes). The per-reference hooks
-/// (`prefetch_issued`, `prefetch_outcome`) are deliberately *not*
+/// recovery, serve admission outcomes). The per-reference events
+/// (`PrefetchIssued`, `PrefetchOutcome`) are deliberately *not*
 /// recorded: they would wash every ring with the hottest event class.
 #[derive(Debug)]
 pub struct FlightRecorder {
@@ -235,17 +235,14 @@ impl FlightRecorder {
         }
     }
 
-    fn push(&mut self, name: &'static str, phase: tev::SpanPhase, ev: RecordArgs) {
+    /// Appends `rec`, stamping its sequence number, wall clock and
+    /// track base.
+    fn push(&mut self, rec: FlightRecord) {
         let rec = FlightRecord {
             seq: self.seq,
-            name,
-            phase,
-            sim_cycle: ev.sim_cycle,
             wall_ns: u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            track: self.track_base.saturating_add(ev.track),
-            lane: ev.lane,
-            a: ev.a,
-            b: ev.b,
+            track: self.track_base.saturating_add(rec.track),
+            ..rec
         };
         self.seq += 1;
         if self.ring.len() < self.capacity {
@@ -254,34 +251,6 @@ impl FlightRecorder {
             self.ring[self.next] = rec;
             self.next = (self.next + 1) % self.capacity;
         }
-    }
-
-    fn event(&mut self, name: &'static str, sim_cycle: u64, a: u64, b: u64) {
-        self.push(
-            name,
-            tev::SpanPhase::Instant,
-            RecordArgs {
-                sim_cycle,
-                track: 0,
-                lane: EVENT_LANE,
-                a,
-                b,
-            },
-        );
-    }
-
-    fn serve_event(&mut self, name: &'static str, shard: u32, a: u64, b: u64) {
-        self.push(
-            name,
-            tev::SpanPhase::Instant,
-            RecordArgs {
-                sim_cycle: 0,
-                track: shard + 1,
-                lane: EVENT_LANE,
-                a,
-                b,
-            },
-        );
     }
 
     /// The dump payload as a serde value (what a dump file contains).
@@ -347,132 +316,82 @@ impl FlightRecorder {
     }
 }
 
-/// Positional record fields, bundled so `push` stays call-site cheap.
-struct RecordArgs {
-    sim_cycle: u64,
-    track: u32,
-    lane: u32,
-    a: u64,
-    b: u64,
-}
-
 impl Observer for FlightRecorder {
-    fn span(&mut self, event: &tev::SpanEvent) {
-        self.push(
-            event.kind.label(),
-            event.phase,
-            RecordArgs {
-                sim_cycle: event.at_cycle,
-                track: event.track,
-                lane: event.kind.lane(),
-                a: event.a,
-                b: event.b,
-            },
-        );
-        if event.kind == tev::SpanKind::Crash && self.policy.on_crash {
-            self.dump("crash");
+    fn on(&mut self, event: &tev::Event) {
+        use tev::Event as E;
+        // Discrete events: (name, sim_cycle, track, a, b). Serve events
+        // go on their shard's track.
+        let (name, sim_cycle, track, a, b) = match event {
+            E::Span(s) => {
+                self.push(FlightRecord {
+                    seq: 0,
+                    name: s.kind.label(),
+                    phase: s.phase,
+                    sim_cycle: s.at_cycle,
+                    wall_ns: 0,
+                    track: s.track,
+                    lane: s.kind.lane(),
+                    a: s.a,
+                    b: s.b,
+                });
+                if s.kind == tev::SpanKind::Crash && self.policy.on_crash {
+                    self.dump("crash");
+                }
+                return;
+            }
+            E::CycleStart(e) => ("cycle_start", e.at_cycle, 0, e.opt_cycle, 0),
+            E::CycleEnd(e) => ("cycle_end", e.at_cycle, 0, e.opt_cycle, e.traced_refs),
+            E::Deoptimize(e) => (
+                "deoptimize",
+                e.at_cycle,
+                0,
+                u64::from(e.partial),
+                e.stream_id.map_or(u64::MAX, u64::from),
+            ),
+            E::GuardTripped(e) => ("guard_trip", e.at_cycle, 0, e.observed, e.budget),
+            E::RecoverySnapshot(e) => ("snapshot", e.at_cycle, 0, e.bytes, e.events_consumed),
+            E::RecoveryReplay(e) => (
+                "journal_replay",
+                0,
+                0,
+                u64::from(e.rolled_forward),
+                e.events_consumed,
+            ),
+            E::RecoveryRestart(e) => ("restart", 0, 0, u64::from(e.attempt), e.resumed_at_event),
+            E::RecoveryGaveUp(e) => ("gave_up", 0, 0, u64::from(e.restarts), e.crashes),
+            E::ServeSessionOpened(e) => {
+                ("serve_open", 0, e.shard + 1, e.tenant, u64::from(e.backend))
+            }
+            E::ServeSessionEvicted(e) => {
+                ("serve_evict", 0, e.shard + 1, e.tenant, e.snapshot_bytes)
+            }
+            E::ServeSessionResumed(e) => {
+                ("serve_resume", 0, e.shard + 1, e.tenant, e.replayed_events)
+            }
+            E::ServeShed(e) => ("serve_shed", 0, e.shard + 1, e.tenant, e.observed),
+            E::ServeBusy(e) => ("serve_busy", 0, e.shard + 1, e.tenant, e.observed),
+            _ => return,
+        };
+        self.push(FlightRecord {
+            seq: 0,
+            name,
+            phase: tev::SpanPhase::Instant,
+            sim_cycle,
+            wall_ns: 0,
+            track,
+            lane: EVENT_LANE,
+            a,
+            b,
+        });
+        let dump = match event {
+            E::GuardTripped(_) => self.policy.on_guard_trip,
+            E::RecoveryRestart(_) => self.policy.on_restart,
+            E::RecoveryGaveUp(_) => self.policy.on_gave_up,
+            _ => false,
+        };
+        if dump {
+            self.dump(name);
         }
-    }
-
-    fn cycle_start(&mut self, event: &tev::CycleStart) {
-        self.event("cycle_start", event.at_cycle, event.opt_cycle, 0);
-    }
-
-    fn cycle_end(&mut self, event: &tev::CycleEnd) {
-        self.event(
-            "cycle_end",
-            event.at_cycle,
-            event.opt_cycle,
-            event.traced_refs,
-        );
-    }
-
-    fn deoptimize(&mut self, event: &tev::Deoptimize) {
-        self.event(
-            "deoptimize",
-            event.at_cycle,
-            u64::from(event.partial),
-            event.stream_id.map_or(u64::MAX, u64::from),
-        );
-    }
-
-    fn guard_tripped(&mut self, event: &tev::GuardTripped) {
-        self.event("guard_trip", event.at_cycle, event.observed, event.budget);
-        if self.policy.on_guard_trip {
-            self.dump("guard_trip");
-        }
-    }
-
-    fn recovery_snapshot(&mut self, event: &tev::RecoverySnapshot) {
-        self.event(
-            "snapshot",
-            event.at_cycle,
-            event.bytes,
-            event.events_consumed,
-        );
-    }
-
-    fn recovery_replay(&mut self, event: &tev::RecoveryReplay) {
-        self.event(
-            "journal_replay",
-            0,
-            u64::from(event.rolled_forward),
-            event.events_consumed,
-        );
-    }
-
-    fn recovery_restart(&mut self, event: &tev::RecoveryRestart) {
-        self.event(
-            "restart",
-            0,
-            u64::from(event.attempt),
-            event.resumed_at_event,
-        );
-        if self.policy.on_restart {
-            self.dump("restart");
-        }
-    }
-
-    fn recovery_gave_up(&mut self, event: &tev::RecoveryGaveUp) {
-        self.event("gave_up", 0, u64::from(event.restarts), event.crashes);
-        if self.policy.on_gave_up {
-            self.dump("gave_up");
-        }
-    }
-
-    fn serve_session_opened(&mut self, event: &tev::ServeSessionOpened) {
-        self.serve_event(
-            "serve_open",
-            event.shard,
-            event.tenant,
-            u64::from(event.backend),
-        );
-    }
-
-    fn serve_session_evicted(&mut self, event: &tev::ServeSessionEvicted) {
-        self.serve_event(
-            "serve_evict",
-            event.shard,
-            event.tenant,
-            event.snapshot_bytes,
-        );
-    }
-
-    fn serve_session_resumed(&mut self, event: &tev::ServeSessionResumed) {
-        self.serve_event(
-            "serve_resume",
-            event.shard,
-            event.tenant,
-            event.replayed_events,
-        );
-    }
-
-    fn serve_shed(&mut self, event: &tev::ServeShed) {
-        self.serve_event("serve_shed", event.shard, event.tenant, event.observed);
-    }
-
-    fn serve_busy(&mut self, event: &tev::ServeBusy) {
-        self.serve_event("serve_busy", event.shard, event.tenant, event.observed);
     }
 }
 
@@ -485,7 +404,10 @@ mod tests {
     fn ring_keeps_most_recent() {
         let mut rec = FlightRecorder::new(4);
         for i in 0..10u64 {
-            rec.span(&SpanEvent::instant(SpanKind::SequiturAppend, i));
+            rec.on(&tev::Event::Span(SpanEvent::instant(
+                SpanKind::SequiturAppend,
+                i,
+            )));
         }
         assert_eq!(rec.len(), 4);
         assert_eq!(rec.total_recorded(), 10);
@@ -500,8 +422,8 @@ mod tests {
     #[test]
     fn capacity_floor_is_one() {
         let mut rec = FlightRecorder::new(0);
-        rec.span(&SpanEvent::instant(SpanKind::Crash, 1));
-        rec.span(&SpanEvent::instant(SpanKind::Crash, 2));
+        rec.on(&tev::Event::Span(SpanEvent::instant(SpanKind::Crash, 1)));
+        rec.on(&tev::Event::Span(SpanEvent::instant(SpanKind::Crash, 2)));
         assert_eq!(rec.capacity(), 1);
         assert_eq!(rec.len(), 1);
         assert_eq!(rec.records()[0].sim_cycle, 2);
@@ -510,14 +432,16 @@ mod tests {
     #[test]
     fn track_base_offsets_spans() {
         let mut rec = FlightRecorder::new(8).with_track_base(10);
-        rec.span(&SpanEvent::begin(SpanKind::ServeFrame, 3).on_track(2));
+        rec.on(&tev::Event::Span(
+            SpanEvent::begin(SpanKind::ServeFrame, 3).on_track(2),
+        ));
         assert_eq!(rec.records()[0].track, 12);
     }
 
     #[test]
     fn no_dump_dir_means_no_dump() {
         let mut rec = FlightRecorder::new(8);
-        rec.span(&SpanEvent::instant(SpanKind::Crash, 5));
+        rec.on(&tev::Event::Span(SpanEvent::instant(SpanKind::Crash, 5)));
         assert!(rec.dump_paths().is_empty());
         assert_eq!(rec.dump_failures(), 0);
     }
@@ -526,7 +450,10 @@ mod tests {
     fn dump_value_carries_ring_metadata() {
         let mut rec = FlightRecorder::new(2).with_label("unit");
         for i in 0..5u64 {
-            rec.span(&SpanEvent::instant(SpanKind::SequiturAppend, i));
+            rec.on(&tev::Event::Span(SpanEvent::instant(
+                SpanKind::SequiturAppend,
+                i,
+            )));
         }
         let v = rec.dump_value("test");
         assert_eq!(v.get("label"), Some(&Value::Str("unit".into())));

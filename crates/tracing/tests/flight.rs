@@ -80,7 +80,7 @@ fn recording_does_not_perturb_the_run() {
 
 #[test]
 fn null_observer_spans_compile_to_nothing() {
-    // The zero-cost claim's type-level half: the span hook is gated on
+    // The zero-cost claim's type-level half: span emission is gated on
     // the same ENABLED flag as every other emission site.
     const { assert!(!<NullObserver as Observer>::ENABLED) };
     const { assert!(<FlightRecorder as Observer>::ENABLED) };
@@ -228,7 +228,7 @@ fn cluster_instants_record_and_export() {
     // The router tier marks migrations / re-homes / owner restarts as
     // `SpanKind::Cluster` instants; they must ride the same ring and
     // Chrome-trace export as core spans without disturbing nesting.
-    use hds_telemetry::events::{ClusterEventKind, SpanEvent, SpanKind, SpanPhase};
+    use hds_telemetry::events::{ClusterEventKind, Event, SpanEvent, SpanKind, SpanPhase};
     let mut rec = FlightRecorder::new(1 << 8).with_label("cluster");
     for (i, kind) in [
         ClusterEventKind::Migrated,
@@ -239,14 +239,14 @@ fn cluster_instants_record_and_export() {
     .into_iter()
     .enumerate()
     {
-        rec.span(&SpanEvent {
+        rec.on(&Event::Span(SpanEvent {
             kind: SpanKind::Cluster,
             phase: SpanPhase::Instant,
             at_cycle: i as u64 * 10,
             track: 0,
             a: kind.code(),
             b: i as u64,
-        });
+        }));
     }
     let records = rec.records();
     assert_eq!(records.len(), 4);

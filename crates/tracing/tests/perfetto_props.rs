@@ -3,7 +3,7 @@
 //! well-nested, and the validator itself never panics on arbitrary
 //! input.
 
-use hds_flight::{perfetto, FlightRecorder, Observer, SpanEvent, SpanKind, SpanPhase};
+use hds_flight::{perfetto, Event, FlightRecorder, Observer, SpanEvent, SpanKind, SpanPhase};
 use proptest::prelude::*;
 
 /// One abstract step of a generated schedule.
@@ -58,7 +58,7 @@ fn record_schedule(steps: &[Step]) -> FlightRecorder {
                     Some((_, stack)) => stack.push(kind),
                     None => open.push((key, vec![kind])),
                 }
-                rec.span(&SpanEvent::begin(kind, cycle).on_track(*track));
+                rec.on(&Event::Span(SpanEvent::begin(kind, cycle).on_track(*track)));
             }
             Step::End { pick } => {
                 let lanes: Vec<usize> = open
@@ -73,11 +73,13 @@ fn record_schedule(steps: &[Step]) -> FlightRecorder {
                 let i = lanes[pick % lanes.len()];
                 let ((track, _), stack) = &mut open[i];
                 let kind = stack.pop().expect("lane was non-empty");
-                rec.span(&SpanEvent::end(kind, cycle).on_track(*track));
+                rec.on(&Event::Span(SpanEvent::end(kind, cycle).on_track(*track)));
             }
             Step::Instant { kind, track } => {
                 let kind = SpanKind::ALL[*kind];
-                rec.span(&SpanEvent::instant(kind, cycle).on_track(*track));
+                rec.on(&Event::Span(
+                    SpanEvent::instant(kind, cycle).on_track(*track),
+                ));
             }
         }
     }
@@ -124,7 +126,7 @@ proptest! {
                 1 => SpanEvent::end(kind, *cycle),
                 _ => SpanEvent::instant(kind, *cycle),
             };
-            rec.span(&ev.on_track(*track));
+            rec.on(&Event::Span(ev.on_track(*track)));
         }
         let records = rec.records();
         let _ = perfetto::validate_nesting(&records);
@@ -137,8 +139,8 @@ proptest! {
     #[test]
     fn tid_packing_is_injective(a in 0u32..32, b in 0u32..32) {
         let mut rec = FlightRecorder::new(8);
-        rec.span(&SpanEvent::instant(SpanKind::Crash, 0).on_track(a));
-        rec.span(&SpanEvent::begin(SpanKind::BgAnalysis, 0).on_track(b));
+        rec.on(&Event::Span(SpanEvent::instant(SpanKind::Crash, 0).on_track(a)));
+        rec.on(&Event::Span(SpanEvent::begin(SpanKind::BgAnalysis, 0).on_track(b)));
         let records = rec.records();
         let same_identity = a == b
             && records[0].lane == records[1].lane;
@@ -154,9 +156,9 @@ proptest! {
 #[test]
 fn swapped_phase_transition_is_flagged() {
     let mut rec = FlightRecorder::new(8);
-    rec.span(&SpanEvent::begin(SpanKind::Profile, 0));
-    rec.span(&SpanEvent::begin(SpanKind::Hibernate, 10));
-    rec.span(&SpanEvent::end(SpanKind::Profile, 10));
+    rec.on(&Event::Span(SpanEvent::begin(SpanKind::Profile, 0)));
+    rec.on(&Event::Span(SpanEvent::begin(SpanKind::Hibernate, 10)));
+    rec.on(&Event::Span(SpanEvent::end(SpanKind::Profile, 10)));
     assert!(matches!(
         perfetto::validate_nesting(&rec.records()),
         Err(perfetto::NestingError::Mismatched { .. })
