@@ -359,14 +359,19 @@ impl<O: Observer> Router<O> {
             .map(|(name, _)| name.clone())
             .collect();
         let tenants = victims.len() as u64;
+        let mut replayed_chunks = 0;
         for name in victims {
-            self.rebuild_route(&name, owner);
+            replayed_chunks += self.rebuild_route(&name, owner);
         }
         self.tally.owner_restarts += 1;
         self.cluster_instant(tev::ClusterEventKind::OwnerRestarted, u64::from(owner));
         if O::ENABLED {
             self.obs.on(&tev::Event::ClusterOwnerRestarted(
-                tev::ClusterOwnerRestarted { owner, tenants },
+                tev::ClusterOwnerRestarted {
+                    owner,
+                    tenants,
+                    replayed_chunks,
+                },
             ));
         }
         // Tenants that were migrating *to* the dead owner re-resolve

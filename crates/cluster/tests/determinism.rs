@@ -97,12 +97,11 @@ fn assert_cluster_matches_standalone(
     }
     assert!(cluster.router().all_flushed());
     // The router's telemetry reconciles with its own tally.
-    // `replayed_chunks` is left out: the tally also counts owner-restart
-    // replays, which the recorder's counter excludes.
     let (rec, tally) = (cluster.router().observer(), cluster.router().tally());
     assert_eq!(rec.cluster_migrations(), tally.migrations);
     assert_eq!(rec.cluster_rehomes(), tally.rehomes);
     assert_eq!(rec.cluster_owner_restarts(), tally.owner_restarts);
+    assert_eq!(rec.cluster_replayed_chunks(), tally.replayed_chunks);
     cluster
 }
 

@@ -1310,6 +1310,12 @@ fn finish_awake<O: Observer, F: FaultInjector>(
             return;
         }
         if mode.analyzes() {
+            // Debug builds check every grammar the analysis reads; the
+            // check is O(grammar), once per phase.
+            #[cfg(debug_assertions)]
+            if let Err(e) = st.sequitur.check_invariants() {
+                panic!("Sequitur invariant broken at a phase's end: {e}");
+            }
             let trace_len = st.sequitur.input_len();
             let grammar = st.sequitur.grammar();
             // Final analysis pass cost: linear in the grammar size.

@@ -163,6 +163,10 @@ pub(crate) fn analyze_trace(
             break;
         }
     }
+    #[cfg(debug_assertions)]
+    if let Err(e) = sequitur.check_invariants() {
+        panic!("Sequitur invariant broken at a trace's end: {e}");
+    }
     let trace_len = sequitur.input_len();
     let grammar = sequitur.grammar();
     let mut out = AnalyzeOutcome {

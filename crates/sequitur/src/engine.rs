@@ -7,11 +7,15 @@
 //! *guard* node closing the circle (the guard doubles as the handle from
 //! the rule to its body: `guard.next` is the first body symbol,
 //! `guard.prev` the last). Nodes live in an arena (`Vec<Node>` + free
-//! list) and are addressed by index, so the whole crate is safe Rust.
+//! list) and are addressed by index, so the whole crate is safe Rust. A
+//! node's value is one `u32`: a terminal is its symbol, a rule use or a
+//! guard a 2-bit tag over the rule id.
 //!
-//! A digram hash table maps each pair of adjacent symbol *values* to the
-//! arena index of the (unique) occurrence's first node. Appending a
-//! terminal to the start rule triggers the classic cascade:
+//! A digram table maps each pair of adjacent symbol values, packed into
+//! one `u64`, to the first and last of its occurrences; the occurrences
+//! of one digram are threaded through the arena in insertion order, so
+//! indexing a digram allocates nothing. Appending a terminal to the
+//! start rule triggers the classic cascade:
 //!
 //! * **digram uniqueness** — if the new digram already occurs elsewhere,
 //!   either reuse the rule whose whole body it is, or create a fresh rule
@@ -20,11 +24,14 @@
 //!   inlined at their sole remaining use and deleted.
 //!
 //! Unlike the textbook C implementation, rule-utility enforcement here is
-//! driven by a worklist over exact per-rule occurrence sets rather than a
+//! driven by a worklist over exact per-rule use counts rather than a
 //! single opportunistic check, which makes the invariant hold
-//! unconditionally (the property tests in `tests/` exercise this).
+//! unconditionally (the property tests in `tests/` exercise this). Each
+//! rule keeps its count and the XOR of its use sites' node ids: the only
+//! site ever looked up is the sole one left when the count is one, and
+//! that is the XOR.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::{Entry, HashMap};
 
 use hds_trace::Symbol;
 
@@ -34,9 +41,14 @@ use crate::grammar::{GSym, Grammar, Rule, RuleId};
 type NodeId = u32;
 const NIL: NodeId = u32::MAX;
 
-/// Value stored in a node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum Value {
+/// Value stored in a node, packed into a `u32`. A terminal is its symbol
+/// (below 2^31, so the top bit is clear); a rule use or a guard is the
+/// tag `0b10` or `0b11` in the top two bits over a rule id below 2^30.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Value(u32);
+
+/// A [`Value`] taken apart.
+enum Kind {
     /// A terminal symbol.
     Terminal(Symbol),
     /// A use (occurrence) of rule `r`.
@@ -45,23 +57,65 @@ enum Value {
     Guard(u32),
 }
 
-/// Digram key: the pair of adjacent symbol values (guards excluded).
-type Digram = (Value, Value);
+impl Value {
+    const RULE: u32 = 0b10 << 30;
+    const GUARD: u32 = 0b11 << 30;
+    /// The largest rule id, and the mask that extracts one.
+    const MAX_RULE: u32 = (1 << 30) - 1;
+
+    fn terminal(t: Symbol) -> Value {
+        assert!(
+            t.0 < Value::RULE,
+            "terminal {} out of range: Sequitur terminals must be below 2^31",
+            t.0
+        );
+        Value(t.0)
+    }
+
+    fn rule(r: u32) -> Value {
+        Value(Value::RULE | r)
+    }
+
+    fn guard(r: u32) -> Value {
+        Value(Value::GUARD | r)
+    }
+
+    fn kind(self) -> Kind {
+        match self.0 >> 30 {
+            0b10 => Kind::Rule(self.0 & Value::MAX_RULE),
+            0b11 => Kind::Guard(self.0 & Value::MAX_RULE),
+            _ => Kind::Terminal(Symbol(self.0)),
+        }
+    }
+
+    fn is_guard(self) -> bool {
+        self.0 >= Value::GUARD
+    }
+}
+
+/// Digram key: two adjacent non-guard values, `first << 32 | second`.
+fn digram(first: Value, second: Value) -> u64 {
+    u64::from(first.0) << 32 | u64::from(second.0)
+}
 
 #[derive(Clone, Debug)]
 struct Node {
     value: Value,
     prev: NodeId,
     next: NodeId,
-    /// Distinguishes live nodes from freed arena slots.
-    live: bool,
+    /// The next indexed occurrence of this node's digram, in insertion
+    /// order (`NIL` ends the list). Meaningful only while the digram
+    /// starting here is indexed.
+    same: NodeId,
 }
 
 #[derive(Clone, Debug)]
 struct RuleData {
     guard: NodeId,
-    /// Arena indices of every node whose value is `Rule(self)`.
-    occurrences: HashSet<NodeId>,
+    /// Number of nodes whose value is a use of this rule.
+    uses: u32,
+    /// XOR of those nodes' arena indices: the sole use when `uses == 1`.
+    use_xor: NodeId,
     /// Length of the rule's expansion, in terminals. Fixed at rule
     /// creation (rule bodies only ever change in expansion-preserving
     /// ways); the start rule's length grows with every append.
@@ -94,12 +148,14 @@ pub struct Sequitur {
     rules: Vec<RuleData>,
     free_rules: Vec<u32>,
     /// Occurrence index: every live guard-free adjacency is recorded under
-    /// its digram key. By the uniqueness invariant a key's occupants are
-    /// pairwise *overlapping* (runs like `aaa`), so the vectors stay tiny;
+    /// its digram key, as the (first, last) of a list threaded through
+    /// `Node::same`. By the uniqueness invariant a key's occupants are
+    /// pairwise *overlapping* (runs like `aaa`), so the lists stay tiny;
     /// keeping all of them (rather than one canonical occurrence, as in
     /// the textbook implementation) means destroying one occurrence never
-    /// strands an unindexed survivor.
-    digrams: HashMap<Digram, Vec<NodeId>>,
+    /// strands an unindexed survivor. The keys derive from the traced
+    /// program's references, so the map keeps std's keyed hasher.
+    digrams: HashMap<u64, (NodeId, NodeId)>,
     /// Rules whose occurrence count may have dropped to one.
     pending_utility: Vec<u32>,
     input_len: u64,
@@ -138,31 +194,37 @@ impl Sequitur {
     /// Number of live rules, including the start rule.
     #[must_use]
     pub fn rule_count(&self) -> usize {
-        self.rules.iter().filter(|r| r.live).count()
+        // Every rule slot is either live or on the free list.
+        self.rules.len() - self.free_rules.len()
     }
 
     /// Total number of live body symbols across all rules — the grammar
     /// size in which both Sequitur and the hot-stream analysis are linear.
     #[must_use]
     pub fn grammar_size(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.live && !matches!(n.value, Value::Guard(_)))
-            .count()
+        // Every live rule owns exactly one live guard node.
+        self.nodes.len() - self.free_nodes.len() - self.rule_count()
     }
 
     /// Appends one symbol of the input string, restoring both Sequitur
     /// invariants before returning.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is 2^31 or above: a node stores a terminal and a
+    /// rule reference in the same `u32`, so terminals take its lower
+    /// half. Symbols from a [`hds_trace::SymbolTable`] are dense from
+    /// zero and stay far below.
     pub fn append(&mut self, t: Symbol) {
+        let value = Value::terminal(t);
         self.input_len += 1;
         self.rules[0].length += 1;
         let guard = self.rules[0].guard;
         let last = self.nodes[guard as usize].prev;
-        let node = self.insert_after(last, Value::Terminal(t));
+        self.insert_after(last, value);
         // The only new adjacency is (last, node).
         self.check(last);
         self.drain_utility();
-        debug_assert_ne!(node, NIL);
     }
 
     /// Takes an immutable snapshot of the current grammar as a dense DAG.
@@ -186,10 +248,10 @@ impl Sequitur {
             let mut body = Vec::new();
             let mut n = self.nodes[r.guard as usize].next;
             while n != r.guard {
-                match self.nodes[n as usize].value {
-                    Value::Terminal(t) => body.push(GSym::Terminal(t)),
-                    Value::Rule(rr) => body.push(GSym::Rule(RuleId(dense[rr as usize]))),
-                    Value::Guard(_) => unreachable!("guard inside rule body of rule {i}"),
+                match self.nodes[n as usize].value.kind() {
+                    Kind::Terminal(t) => body.push(GSym::Terminal(t)),
+                    Kind::Rule(rr) => body.push(GSym::Rule(RuleId(dense[rr as usize]))),
+                    Kind::Guard(_) => unreachable!("guard inside rule body of rule {i}"),
                 }
                 n = self.nodes[n as usize].next;
             }
@@ -222,64 +284,75 @@ impl Sequitur {
                 }
                 continue;
             }
-            match self.nodes[n as usize].value {
-                Value::Terminal(t) => {
+            match self.nodes[n as usize].value.kind() {
+                Kind::Terminal(t) => {
                     out.push(t);
                     *stack.last_mut().expect("nonempty") = self.nodes[n as usize].next;
                 }
-                Value::Rule(r) => {
+                Kind::Rule(r) => {
                     stack.push(self.nodes[self.rules[r as usize].guard as usize].next);
                     rule_stack.push(r);
                 }
-                Value::Guard(_) => unreachable!("guard mid-body"),
+                Kind::Guard(_) => unreachable!("guard mid-body"),
             }
         }
     }
 
     /// Verifies both Sequitur invariants plus internal bookkeeping
-    /// consistency. Used pervasively by the test suite; O(grammar size).
+    /// consistency: use counts, use-site XORs, the free lists and the
+    /// threaded digram lists are rebuilt from the adjacency and
+    /// compared. Used pervasively by the test suite, and once per
+    /// profiling phase in debug builds; O(grammar size).
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        // 1. Linked-list integrity & occurrence bookkeeping.
-        let mut seen_occ: HashMap<u32, HashSet<NodeId>> = HashMap::new();
-        let mut digram_count: HashMap<Digram, Vec<NodeId>> = HashMap::new();
+        let mut free = vec![false; self.nodes.len()];
+        for &n in &self.free_nodes {
+            if std::mem::replace(&mut free[n as usize], true) {
+                return Err(format!("node {n} freed twice"));
+            }
+        }
+        // 1. Linked-list integrity & use bookkeeping.
+        let mut uses = vec![(0u32, 0u32); self.rules.len()];
+        let mut digram_count: HashMap<u64, Vec<NodeId>> = HashMap::new();
         for (ri, rule) in self.rules.iter().enumerate() {
             if !rule.live {
                 continue;
             }
             let guard = rule.guard;
-            if !self.nodes[guard as usize].live {
+            if free[guard as usize] {
                 return Err(format!("rule {ri} has a dead guard node"));
             }
             let mut n = self.nodes[guard as usize].next;
             let mut body_len = 0usize;
             while n != guard {
                 let node = &self.nodes[n as usize];
-                if !node.live {
+                if free[n as usize] {
                     return Err(format!("dead node {n} linked in rule {ri}"));
                 }
                 if self.nodes[node.next as usize].prev != n {
                     return Err(format!("broken link at node {n}"));
                 }
-                match node.value {
-                    Value::Guard(_) => {
+                match node.value.kind() {
+                    Kind::Guard(_) => {
                         return Err(format!("guard node {n} inside body of rule {ri}"))
                     }
-                    Value::Rule(r) => {
+                    Kind::Rule(r) => {
                         if !self.rules[r as usize].live {
                             return Err(format!("rule {ri} references dead rule {r}"));
                         }
-                        seen_occ.entry(r).or_default().insert(n);
+                        let (count, xor) = &mut uses[r as usize];
+                        *count += 1;
+                        *xor ^= n;
                     }
-                    Value::Terminal(_) => {}
+                    Kind::Terminal(_) => {}
                 }
                 // Collect digrams.
                 let next = node.next;
                 if next != guard {
-                    let key = (node.value, self.nodes[next as usize].value);
+                    let key = digram(node.value, self.nodes[next as usize].value);
                     digram_count.entry(key).or_default().push(n);
                 }
                 n = node.next;
@@ -292,29 +365,36 @@ impl Sequitur {
                 return Err(format!("rule {ri} has body of length {body_len} (< 2)"));
             }
         }
-        // Occurrence sets match.
+        // Use counts and sites match.
+        let mut live_rules = 0;
         for (ri, rule) in self.rules.iter().enumerate() {
             if !rule.live {
                 continue;
             }
-            let seen = seen_occ.remove(&(ri as u32)).unwrap_or_default();
-            if seen != rule.occurrences {
+            live_rules += 1;
+            let (count, xor) = uses[ri];
+            if (count, xor) != (rule.uses, rule.use_xor) {
                 return Err(format!(
-                    "rule {ri} occurrence set mismatch: recorded {:?}, actual {:?}",
-                    rule.occurrences, seen
+                    "rule {ri} use bookkeeping mismatch: recorded {} uses (xor {}), actual {count} (xor {xor})",
+                    rule.uses, rule.use_xor
                 ));
             }
-            if ri != 0 && rule.occurrences.len() < 2 {
+            if ri != 0 && count < 2 {
                 return Err(format!(
-                    "rule utility violated: rule {ri} used {} time(s)",
-                    rule.occurrences.len()
+                    "rule utility violated: rule {ri} used {count} time(s)"
                 ));
             }
+        }
+        if live_rules != self.rule_count() {
+            return Err(format!(
+                "{live_rules} rules are live but the free list leaves {}",
+                self.rule_count()
+            ));
         }
         // 2. Digram uniqueness (all same-key occurrences pairwise
         //    overlapping) + occurrence-index consistency (index == the set
         //    of live adjacencies, exactly).
-        for (key, positions) in &digram_count {
+        for (&key, positions) in &digram_count {
             for (i, &p) in positions.iter().enumerate() {
                 for &q in &positions[i + 1..] {
                     let p_next = self.nodes[p as usize].next;
@@ -324,32 +404,45 @@ impl Sequitur {
                     // runs of one repeated symbol (aaaa…) only partially
                     // compressed: same-key occurrences inside one run are
                     // permitted. Any other duplicate is a violation.
+                    let v = self.nodes[p as usize].value;
                     if !overlapping
-                        && !(key.0 == key.1
-                            && (self.same_run(p, q, key.0) || self.same_run(q, p, key.0)))
+                        && !(key == digram(v, v)
+                            && (self.same_run(p, q, v) || self.same_run(q, p, v)))
                     {
                         return Err(format!(
-                            "digram uniqueness violated for {key:?}: nodes {p} and {q}"
+                            "digram uniqueness violated for {key:#018x}: nodes {p} and {q}"
                         ));
                     }
                 }
             }
-            let indexed = self.digrams.get(key).cloned().unwrap_or_default();
-            for &p in positions {
-                if !indexed.contains(&p) {
-                    return Err(format!(
-                        "digram {key:?} occurrence at node {p} is not indexed"
-                    ));
+        }
+        let mut indexed = 0usize;
+        for (&key, &(head, tail)) in &self.digrams {
+            let actual = digram_count.get(&key);
+            let (mut n, mut last) = (head, NIL);
+            while n != NIL {
+                if !actual.is_some_and(|v| v.contains(&n)) {
+                    return Err(format!("stale digram index entry {key:#018x} -> node {n}"));
                 }
+                indexed += 1;
+                if indexed > self.nodes.len() {
+                    return Err(format!("digram list {key:#018x} does not terminate"));
+                }
+                (last, n) = (n, self.nodes[n as usize].same);
+            }
+            if last != tail || last == NIL {
+                return Err(format!(
+                    "digram list {key:#018x} ends at {last}, recorded {tail}"
+                ));
             }
         }
-        for (key, occ) in &self.digrams {
-            let actual = digram_count.get(key);
-            for n in occ {
-                if !actual.is_some_and(|v| v.contains(n)) {
-                    return Err(format!("stale digram index entry {key:?} -> node {n}"));
-                }
-            }
+        // Every live adjacency is indexed exactly once: no entry is stale
+        // and a node heads one digram, so equal counts mean equal sets.
+        let live_digrams: usize = digram_count.values().map(Vec::len).sum();
+        if indexed != live_digrams {
+            return Err(format!(
+                "{live_digrams} live digram occurrences but {indexed} indexed"
+            ));
         }
         // 3. Recorded lengths match actual expansions.
         let snapshot = self.grammar();
@@ -360,108 +453,142 @@ impl Sequitur {
     // ----- arena plumbing ---------------------------------------------
 
     fn alloc_node(&mut self, value: Value) -> NodeId {
+        let node = Node {
+            value,
+            prev: NIL,
+            next: NIL,
+            same: NIL,
+        };
         if let Some(id) = self.free_nodes.pop() {
-            self.nodes[id as usize] = Node {
-                value,
-                prev: NIL,
-                next: NIL,
-                live: true,
-            };
+            self.nodes[id as usize] = node;
             id
         } else {
             let id = u32::try_from(self.nodes.len()).expect("node arena overflow");
-            self.nodes.push(Node {
-                value,
-                prev: NIL,
-                next: NIL,
-                live: true,
-            });
+            self.nodes.push(node);
             id
         }
     }
 
-    fn free_node(&mut self, n: NodeId) {
-        debug_assert!(self.nodes[n as usize].live);
-        self.nodes[n as usize].live = false;
-        self.free_nodes.push(n);
-    }
-
     fn alloc_rule(&mut self) -> u32 {
-        let id = if let Some(id) = self.free_rules.pop() {
-            id
-        } else {
-            let id = u32::try_from(self.rules.len()).expect("rule arena overflow");
-            self.rules.push(RuleData {
-                guard: NIL,
-                occurrences: HashSet::new(),
-                length: 0,
-                live: false,
-            });
-            id
+        let id = match self.free_rules.pop() {
+            Some(id) => id,
+            None => u32::try_from(self.rules.len())
+                .ok()
+                .filter(|&id| id <= Value::MAX_RULE)
+                .expect("rule arena overflow"),
         };
-        let guard = self.alloc_node(Value::Guard(id));
+        let guard = self.alloc_node(Value::guard(id));
         self.nodes[guard as usize].prev = guard;
         self.nodes[guard as usize].next = guard;
-        let data = &mut self.rules[id as usize];
-        data.guard = guard;
-        data.occurrences.clear();
-        data.length = 0;
-        data.live = true;
+        let data = RuleData {
+            guard,
+            uses: 0,
+            use_xor: 0,
+            length: 0,
+            live: true,
+        };
+        match self.rules.get_mut(id as usize) {
+            Some(slot) => *slot = data,
+            None => self.rules.push(data),
+        }
         id
     }
 
     fn free_rule(&mut self, r: u32) {
         debug_assert!(self.rules[r as usize].live);
-        debug_assert!(self.rules[r as usize].occurrences.is_empty());
+        debug_assert_eq!(self.rules[r as usize].uses, 0);
         let guard = self.rules[r as usize].guard;
-        self.free_node(guard);
+        self.free_nodes.push(guard);
         self.rules[r as usize].live = false;
         self.free_rules.push(r);
     }
 
-    // ----- digram table helpers ---------------------------------------
-
-    fn digram_key(&self, first: NodeId) -> Option<Digram> {
-        let node = &self.nodes[first as usize];
-        if matches!(node.value, Value::Guard(_)) {
-            return None;
-        }
-        let next = &self.nodes[node.next as usize];
-        if matches!(next.value, Value::Guard(_)) {
-            return None;
-        }
-        Some((node.value, next.value))
+    /// Records node `n` as a use of rule `r`.
+    fn add_use(&mut self, r: u32, n: NodeId) {
+        let rule = &mut self.rules[r as usize];
+        rule.uses += 1;
+        rule.use_xor ^= n;
     }
 
-    /// Records the digram starting at `first` in the occurrence index.
-    /// Idempotent.
-    fn index_digram(&mut self, first: NodeId) {
-        if let Some(key) = self.digram_key(first) {
-            let occ = self.digrams.entry(key).or_default();
-            if !occ.contains(&first) {
-                occ.push(first);
+    /// Forgets node `n` as a use of rule `r` (XOR is its own inverse).
+    fn remove_use(&mut self, r: u32, n: NodeId) {
+        let rule = &mut self.rules[r as usize];
+        rule.uses -= 1;
+        rule.use_xor ^= n;
+    }
+
+    // ----- digram table helpers ---------------------------------------
+
+    fn digram_key(&self, first: NodeId) -> Option<u64> {
+        let node = &self.nodes[first as usize];
+        if node.value.is_guard() {
+            return None;
+        }
+        let second = self.nodes[node.next as usize].value;
+        (!second.is_guard()).then(|| digram(node.value, second))
+    }
+
+    /// Records the digram `key` starting at `first` in the occurrence
+    /// index, last in its list. Idempotent.
+    fn index_digram(&mut self, key: u64, first: NodeId) {
+        match self.digrams.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert((first, first));
+            }
+            Entry::Occupied(mut slot) => {
+                let (head, tail) = slot.get_mut();
+                let mut n = *head;
+                while n != NIL {
+                    if n == first {
+                        return;
+                    }
+                    n = self.nodes[n as usize].same;
+                }
+                self.nodes[*tail as usize].same = first;
+                *tail = first;
             }
         }
+        self.nodes[first as usize].same = NIL;
     }
 
     /// Removes the occurrence of the digram starting at `first` from the
     /// index (other — necessarily overlapping — occurrences of the same
-    /// digram stay indexed).
+    /// digram stay indexed, in order).
     fn unindex_digram(&mut self, first: NodeId) {
-        if let Some(key) = self.digram_key(first) {
-            if let Some(occ) = self.digrams.get_mut(&key) {
-                occ.retain(|&n| n != first);
-                if occ.is_empty() {
-                    self.digrams.remove(&key);
-                }
+        let Some(key) = self.digram_key(first) else {
+            return;
+        };
+        let Entry::Occupied(mut slot) = self.digrams.entry(key) else {
+            return;
+        };
+        let (head, tail) = slot.get_mut();
+        let mut before = NIL;
+        let mut n = *head;
+        while n != first {
+            if n == NIL {
+                return;
             }
+            before = n;
+            n = self.nodes[n as usize].same;
+        }
+        let after = self.nodes[first as usize].same;
+        if before == NIL {
+            *head = after;
+        } else {
+            self.nodes[before as usize].same = after;
+        }
+        if *tail == first {
+            *tail = before;
+        }
+        if *head == NIL {
+            slot.remove();
         }
     }
 
     // ----- structural edits -------------------------------------------
 
     /// Inserts a fresh node with `value` immediately after `pos`,
-    /// maintaining occurrence sets (not the digram table — callers manage
+    /// maintaining use counts (not the digram table — callers manage
     /// the affected adjacencies).
     fn insert_after(&mut self, pos: NodeId, value: Value) -> NodeId {
         let n = self.alloc_node(value);
@@ -470,30 +597,28 @@ impl Sequitur {
         self.nodes[n as usize].next = next;
         self.nodes[pos as usize].next = n;
         self.nodes[next as usize].prev = n;
-        if let Value::Rule(r) = value {
-            self.rules[r as usize].occurrences.insert(n);
+        if let Kind::Rule(r) = value.kind() {
+            self.add_use(r, n);
         }
         n
     }
 
-    /// Unlinks and frees `n`, maintaining occurrence sets and scheduling a
+    /// Unlinks and frees `n`, maintaining use counts and scheduling a
     /// utility check if the referenced rule dropped to one use. The
     /// adjacent digram entries must already have been unindexed.
     fn delete_node(&mut self, n: NodeId) {
-        let (prev, next, value) = {
-            let node = &self.nodes[n as usize];
-            (node.prev, node.next, node.value)
-        };
+        let Node {
+            prev, next, value, ..
+        } = self.nodes[n as usize];
         self.nodes[prev as usize].next = next;
         self.nodes[next as usize].prev = prev;
-        if let Value::Rule(r) = value {
-            let occ = &mut self.rules[r as usize].occurrences;
-            occ.remove(&n);
-            if occ.len() == 1 {
+        if let Kind::Rule(r) = value.kind() {
+            self.remove_use(r, n);
+            if self.rules[r as usize].uses == 1 {
                 self.pending_utility.push(r);
             }
         }
-        self.free_node(n);
+        self.free_nodes.push(n);
     }
 
     // ----- the Sequitur cascade ---------------------------------------
@@ -505,9 +630,18 @@ impl Sequitur {
         let Some(key) = self.digram_key(first) else {
             return false;
         };
-        match self.find_partner(key, first) {
+        // A digram seen for the first time is indexed with one lookup.
+        let head = match self.digrams.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert((first, first));
+                self.nodes[first as usize].same = NIL;
+                return false;
+            }
+            Entry::Occupied(slot) => slot.get().0,
+        };
+        match self.partner_from(head, first) {
             None => {
-                self.index_digram(first);
+                self.index_digram(key, first);
                 false
             }
             Some(other) => {
@@ -520,20 +654,26 @@ impl Sequitur {
     /// Finds an indexed occurrence of `key` that does not overlap the
     /// occurrence at `first`, preferring one that forms a whole rule body
     /// (so existing rules are reused rather than duplicated).
-    fn find_partner(&self, key: Digram, first: NodeId) -> Option<NodeId> {
-        let occ = self.digrams.get(&key)?;
+    fn find_partner(&self, key: u64, first: NodeId) -> Option<NodeId> {
+        let &(head, _) = self.digrams.get(&key)?;
+        self.partner_from(head, first)
+    }
+
+    /// [`Sequitur::find_partner`] over the list that starts at `head`.
+    fn partner_from(&self, head: NodeId, first: NodeId) -> Option<NodeId> {
         let mut fallback = None;
-        for &o in occ {
-            if o == first
+        let mut o = head;
+        while o != NIL {
+            let overlapping = o == first
                 || self.nodes[o as usize].next == first
-                || self.nodes[first as usize].next == o
-            {
-                continue; // self or overlapping occurrence
+                || self.nodes[first as usize].next == o;
+            if !overlapping {
+                if self.is_whole_body(o) {
+                    return Some(o);
+                }
+                fallback = fallback.or(Some(o));
             }
-            if self.is_whole_body(o) {
-                return Some(o);
-            }
-            fallback = fallback.or(Some(o));
+            o = self.nodes[o as usize].same;
         }
         fallback
     }
@@ -562,8 +702,7 @@ impl Sequitur {
         let prev = self.nodes[o as usize].prev;
         let second = self.nodes[o as usize].next;
         let after = self.nodes[second as usize].next;
-        matches!(self.nodes[prev as usize].value, Value::Guard(_))
-            && matches!(self.nodes[after as usize].value, Value::Guard(_))
+        self.nodes[prev as usize].value.is_guard() && self.nodes[after as usize].value.is_guard()
     }
 
     /// The new digram at `new` equals the indexed digram at `old`.
@@ -572,7 +711,7 @@ impl Sequitur {
     fn match_digram(&mut self, new: NodeId, old: NodeId) {
         if self.is_whole_body(old) {
             let prev = self.nodes[old as usize].prev;
-            let Value::Guard(r) = self.nodes[prev as usize].value else {
+            let Kind::Guard(r) = self.nodes[prev as usize].value.kind() else {
                 unreachable!("is_whole_body checked the guard")
             };
             self.substitute(new, r);
@@ -580,7 +719,7 @@ impl Sequitur {
             // Create a new rule whose body is a copy of the digram.
             let v1 = self.nodes[new as usize].value;
             let v2 = self.nodes[self.nodes[new as usize].next as usize].value;
-            let key = (v1, v2);
+            let key = digram(v1, v2);
             let r = self.alloc_rule();
             self.rules[r as usize].length = self.value_len(v1) + self.value_len(v2);
             let guard = self.rules[r as usize].guard;
@@ -593,7 +732,7 @@ impl Sequitur {
             // Index the new rule's body digram, and fold in any further
             // occurrences the substitution cascades may have (re-)created:
             // each is a whole-body match for the fresh rule.
-            self.index_digram(b1);
+            self.index_digram(key, b1);
             while let Some(stray) = self.find_partner(key, b1) {
                 if !self.rules[r as usize].live {
                     break; // r was inlined away by a utility cascade
@@ -615,7 +754,7 @@ impl Sequitur {
         self.unindex_digram(second);
         self.delete_node(second);
         self.delete_node(first);
-        let occurrence = self.insert_after(prev, Value::Rule(r));
+        let occurrence = self.insert_after(prev, Value::rule(r));
         // Check the two new adjacencies. If the left check rewrites the
         // grammar, it re-checks its own aftermath; otherwise the right
         // adjacency is still intact and must be checked here.
@@ -625,10 +764,10 @@ impl Sequitur {
     }
 
     fn value_len(&self, v: Value) -> u64 {
-        match v {
-            Value::Terminal(_) => 1,
-            Value::Rule(r) => self.rules[r as usize].length,
-            Value::Guard(_) => 0,
+        match v.kind() {
+            Kind::Terminal(_) => 1,
+            Kind::Rule(r) => self.rules[r as usize].length,
+            Kind::Guard(_) => 0,
         }
     }
 
@@ -637,10 +776,10 @@ impl Sequitur {
     fn drain_utility(&mut self) {
         while let Some(r) = self.pending_utility.pop() {
             let rule = &self.rules[r as usize];
-            if !rule.live || rule.occurrences.len() != 1 {
+            if !rule.live || rule.uses != 1 {
                 continue; // count changed since scheduling
             }
-            let site = *rule.occurrences.iter().next().expect("len == 1");
+            let site = rule.use_xor;
             self.expand_rule_at(site, r);
         }
     }
@@ -661,10 +800,10 @@ impl Sequitur {
         self.unindex_digram(site);
         // Remove the occurrence node. Bypass delete_node's utility
         // scheduling: the rule is about to die.
-        self.rules[r as usize].occurrences.remove(&site);
+        self.remove_use(r, site);
         self.nodes[left as usize].next = right;
         self.nodes[right as usize].prev = left;
-        self.free_node(site);
+        self.free_nodes.push(site);
         // Splice the body between left and right.
         self.nodes[left as usize].next = first;
         self.nodes[first as usize].prev = left;
@@ -843,6 +982,14 @@ mod tests {
     fn from_iterator_collects() {
         let seq: Sequitur = syms("abab").into_iter().collect();
         assert_eq!(seq.expand_start(), syms("abab"));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be below 2^31")]
+    fn terminal_at_two_to_the_31_panics() {
+        let mut seq = Sequitur::new();
+        seq.append(Symbol((1 << 31) - 1));
+        seq.append(Symbol(1 << 31));
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! * [`Grammar`], [`Rule`], [`GSym`] — an immutable snapshot of the
 //!   grammar as a DAG, the form consumed by the analysis;
 //! * invariant checking ([`Sequitur::check_invariants`]) used heavily by
-//!   the property-test suite.
+//!   the property-test suite, and by the optimizer on every profiled
+//!   grammar in debug builds.
 //!
 //! # Examples
 //!

@@ -929,7 +929,7 @@ impl<O: Observer> SessionManager<O> {
                             dropped,
                         }));
                 }
-                self.store_event(tev::StoreEventKind::Compacted, dropped);
+                self.store_event(tev::StoreEventKind::Compacted, kept);
                 for name in before.into_iter().filter(|t| !after.contains(t)) {
                     let key = tenant_key(&name);
                     self.tally.expired += 1;

@@ -11,7 +11,8 @@ use hds_guard::ServeBudgets;
 use hds_serve::load::{generate, standalone_reference, LoadConfig, TenantLoad};
 use hds_serve::{Frame, RejectCode, ServeConfig, SessionManager};
 use hds_store::{FaultyStorage, MemStorage, Store, StoreConfig, StoreFault, StoreFaultPlan};
-use hds_telemetry::MetricsRecorder;
+use hds_telemetry::events::{Event, SpanKind, StoreEventKind};
+use hds_telemetry::{MetricsRecorder, Observer};
 use std::collections::BTreeMap;
 
 fn tiny_config() -> OptimizerConfig {
@@ -40,7 +41,7 @@ fn mem_store() -> Store {
     Store::open(Box::new(MemStorage::new()), StoreConfig::default()).expect("open mem store")
 }
 
-fn hello(manager: &mut SessionManager<MetricsRecorder>) {
+fn hello<O: Observer>(manager: &mut SessionManager<O>) {
     let responses = manager.handle(Frame::Hello {
         token: String::new(),
         features: 0,
@@ -407,16 +408,32 @@ fn failed_spills_keep_tenants_in_memory_and_trip_the_budget() {
         .expect("telemetry reconciles");
 }
 
+/// The `b` word of every store-compaction flight instant.
+#[derive(Default)]
+struct CompactedInstants(Vec<u64>);
+
+impl Observer for CompactedInstants {
+    fn on(&mut self, event: &Event) {
+        if let Event::Span(s) = event {
+            if s.kind == SpanKind::Store && s.a == StoreEventKind::Compacted.code() {
+                self.0.push(s.b);
+            }
+        }
+    }
+}
+
 /// Compaction with a TTL expires dead tenants from both the store and
 /// the control plane: the expired tenant can be re-opened from
-/// scratch, while a fresh tenant's durable state survives compaction
-/// and still loads.
+/// scratch, while fresh tenants' durable state survives compaction
+/// and still loads. The compaction's flight instant carries the number
+/// of records kept.
 #[test]
 fn compaction_expires_dead_tenants_and_keeps_fresh_ones() {
     let loads = load();
-    let (dead, alive) = (&loads[0], &loads[1]);
+    let (dead, alive, also_alive) = (&loads[0], &loads[1], &loads[2]);
     let cfg = ServeConfig::new(tiny_config(), mode()).with_shards(2);
-    let mut manager = SessionManager::with_observer(cfg, MetricsRecorder::new()).unwrap();
+    let observer = (MetricsRecorder::new(), CompactedInstants::default());
+    let mut manager = SessionManager::with_observer(cfg, observer).unwrap();
     let store = Store::open(
         Box::new(MemStorage::new()),
         StoreConfig {
@@ -427,7 +444,7 @@ fn compaction_expires_dead_tenants_and_keeps_fresh_ones() {
     .expect("open store");
     manager.attach_store(store);
     hello(&mut manager);
-    for l in [dead, alive] {
+    for l in [dead, alive, also_alive] {
         manager.handle(Frame::OpenSession {
             tenant: l.name.clone(),
             procedures: l.procedures.clone(),
@@ -459,16 +476,24 @@ fn compaction_expires_dead_tenants_and_keeps_fresh_ones() {
             tenant: String::new(),
         });
     }
-    manager.handle(Frame::Evict {
-        tenant: alive.name.clone(),
-    });
+    for l in [alive, also_alive] {
+        manager.handle(Frame::Evict {
+            tenant: l.name.clone(),
+        });
+    }
     manager.pump();
     manager.compact_store();
     let report = manager.report();
     assert_eq!(report.compactions, 1);
     assert_eq!(report.expired, 1, "only the stale tenant expires");
     assert!(manager.store().unwrap().contains(&alive.name));
+    assert!(manager.store().unwrap().contains(&also_alive.name));
     assert!(!manager.store().unwrap().contains(&dead.name));
+    assert_eq!(
+        manager.observer().1 .0,
+        [2],
+        "the instant's b is the kept count"
+    );
 
     // The expired tenant is gone from the control plane too: a fresh
     // open (not TenantAlreadyOpen) succeeds.
@@ -493,6 +518,6 @@ fn compaction_expires_dead_tenants_and_keeps_fresh_ones() {
     assert_eq!(outcome.report, expected_report);
     assert_eq!(outcome.image_digest, expected_digest);
     report
-        .reconciles(manager.observer())
+        .reconciles(&manager.observer().0)
         .expect("telemetry reconciles");
 }

@@ -936,6 +936,8 @@ pub struct ClusterOwnerRestarted {
     pub owner: u32,
     /// Tenants that lived on it at the time of death.
     pub tenants: u64,
+    /// Journaled chunks replayed to rebuild those tenants.
+    pub replayed_chunks: u64,
 }
 
 /// Whether a [`SpanEvent`] opens, closes, or is a point in time.

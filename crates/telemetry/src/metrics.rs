@@ -519,7 +519,7 @@ impl MetricsRecorder {
         self.cluster_owner_restarts
     }
 
-    /// Journaled chunks replayed during migrations and re-homes.
+    /// Journaled chunks replayed during migrations, re-homes and owner restarts.
     #[must_use]
     pub fn cluster_replayed_chunks(&self) -> u64 {
         self.cluster_replayed_chunks
@@ -1022,7 +1022,10 @@ impl Observer for MetricsRecorder {
                 self.cluster_rehomes += 1;
                 self.cluster_replayed_chunks += e.replayed_chunks;
             }
-            Event::ClusterOwnerRestarted(_) => self.cluster_owner_restarts += 1,
+            Event::ClusterOwnerRestarted(e) => {
+                self.cluster_owner_restarts += 1;
+                self.cluster_replayed_chunks += e.replayed_chunks;
+            }
             Event::Span(_) => {}
         }
     }

@@ -185,6 +185,7 @@ fn emit_all(sink: &mut JsonlSink<Vec<u8>>) {
     sink.on(&Event::ClusterOwnerRestarted(ClusterOwnerRestarted {
         owner: 2,
         tenants: 3,
+        replayed_chunks: 5,
     }));
 }
 
@@ -218,7 +219,7 @@ const GOLDEN: [&str; 30] = [
     r#"{"event":"store_fault","tenant":48879,"action":1}"#,
     r#"{"event":"cluster_migrated","tenant":48879,"from_owner":0,"to_owner":1,"replayed_chunks":3}"#,
     r#"{"event":"cluster_rehomed","tenant":48879,"from_owner":1,"to_owner":2,"replayed_chunks":4}"#,
-    r#"{"event":"cluster_owner_restarted","owner":2,"tenants":3}"#,
+    r#"{"event":"cluster_owner_restarted","owner":2,"tenants":3,"replayed_chunks":5}"#,
 ];
 
 #[test]
