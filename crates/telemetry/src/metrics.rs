@@ -764,7 +764,7 @@ impl MetricsRecorder {
         counter(
             &mut out,
             "hds_cluster_replayed_chunks_total",
-            "Journaled chunks replayed during migrations and re-homes.",
+            "Journaled chunks replayed during migrations, re-homes and owner restarts.",
             self.cluster_replayed_chunks,
         );
         let _ = writeln!(

@@ -72,7 +72,7 @@ fn paper_workloads_pin_every_sink() {
             [
                 0xa14721b753a8646a,
                 0x696bcc4f956239e8,
-                0x7fe48f10a91dbfad,
+                0xa3eb573941361d90,
                 19223,
             ],
         ),
@@ -81,7 +81,7 @@ fn paper_workloads_pin_every_sink() {
             [
                 0x5aabf01870f0669b,
                 0x77a7d918371b73d0,
-                0xc14d51117e65bedd,
+                0x03ac44411420cdec,
                 20860,
             ],
         ),
@@ -90,7 +90,7 @@ fn paper_workloads_pin_every_sink() {
             [
                 0xb625a914fb364566,
                 0xe02d1affe73ca363,
-                0xf880c5abf8235247,
+                0xaf21d55c521c120e,
                 7269,
             ],
         ),
@@ -99,7 +99,7 @@ fn paper_workloads_pin_every_sink() {
             [
                 0xe0681ba7a22c532d,
                 0x4ece1185bab260da,
-                0x0182037b0673373f,
+                0xd145f46ac6f378ec,
                 6288,
             ],
         ),
@@ -108,7 +108,7 @@ fn paper_workloads_pin_every_sink() {
             [
                 0x46e3ce2e139c4f2e,
                 0x8fe256cdfe97063f,
-                0x1c2d1d98d7d562da,
+                0xf02c2245fad1d4f5,
                 8607,
             ],
         ),
@@ -117,7 +117,7 @@ fn paper_workloads_pin_every_sink() {
             [
                 0x3540d316beffa71d,
                 0xb6526b66c32e75c2,
-                0x182853f904ebaafd,
+                0xe2c4938ed1ec2110,
                 162,
             ],
         ),
@@ -183,7 +183,7 @@ fn spilling_serve_run_pins_every_sink() {
         [
             0xd5e89d8ed46d9007,
             0x4b691762ec22e1b2,
-            0xe126f3d04c289c8a,
+            0x00065fd40020704d,
             166
         ]
     );
