@@ -12,9 +12,9 @@ use std::collections::BTreeMap;
 use hds_serve::client::{ClientConfig, ClientError, ClientSession, ClientStatus, TenantReport};
 use hds_serve::load::TenantLoad;
 use hds_serve::manager::ServeConfigError;
-use hds_serve::transport::{loopback, LoopbackTransport, Transport, TransportError};
+use hds_serve::transport::{loopback, LoopbackTransport};
 use hds_serve::wire::Frame;
-use hds_serve::{ServeConfig, SessionManager};
+use hds_serve::{serve_tick, ServeConfig, SessionManager};
 use hds_telemetry::{NullObserver, Observer};
 
 use crate::owner::OwnerProcess;
@@ -254,21 +254,7 @@ pub fn run_cluster_session<O: Observer>(
             }
             ClientStatus::Working => {}
         }
-        loop {
-            match server_end.recv() {
-                Ok(Some(frame)) => {
-                    for response in cluster.handle(frame) {
-                        let _ = server_end.send(&response);
-                    }
-                }
-                Ok(None) => break,
-                Err(TransportError::Frame(_)) => {}
-                Err(_) => break,
-            }
-        }
-        for frame in cluster.tick() {
-            let _ = server_end.send(&frame);
-        }
+        serve_tick(cluster, &mut server_end, Cluster::handle, Cluster::tick);
     }
     Err(ClusterError::Stalled { polls: max_polls })
 }

@@ -11,8 +11,9 @@
 //! record-plus-journal rebuild).
 
 use hds_serve::manager::ServeConfigError;
-use hds_serve::transport::TransportError;
-use hds_serve::{loopback, LoopbackTransport, ServeConfig, ServeReport, SessionManager, Transport};
+use hds_serve::{
+    loopback, serve_tick, LoopbackTransport, ServeConfig, ServeReport, SessionManager,
+};
 use hds_telemetry::NullObserver;
 
 /// A shard-owner process for the cluster: config, manager, connection.
@@ -93,29 +94,14 @@ impl OwnerProcess {
     /// exports flow back. Dead processes (and unconnected ones) tick
     /// as nothing.
     pub fn tick(&mut self) {
-        let (Some(manager), Some(server_end)) = (self.manager.as_mut(), self.server_end.as_mut())
-        else {
-            return;
-        };
-        loop {
-            match server_end.recv() {
-                Ok(Some(frame)) => {
-                    for response in manager.handle(frame) {
-                        // A failed send means the router's end is gone;
-                        // it will reconnect and the resume protocol
-                        // re-delivers.
-                        let _ = server_end.send(&response);
-                    }
-                }
-                Ok(None) => break,
-                // A damaged frame was consumed and the stream is still
-                // framed: the link's retry re-delivers it.
-                Err(TransportError::Frame(_)) => {}
-                Err(_) => break,
-            }
-        }
-        for response in manager.pump() {
-            let _ = server_end.send(&response);
+        if let (Some(manager), Some(server_end)) = (self.manager.as_mut(), self.server_end.as_mut())
+        {
+            serve_tick(
+                manager,
+                server_end,
+                SessionManager::handle,
+                SessionManager::pump,
+            );
         }
     }
 

@@ -1,6 +1,7 @@
-//! The unified entry point: [`SessionBuilder`] (typestate run
-//! construction) and [`EngineConfig`] (validated engine-wide
-//! configuration).
+//! The unified entry point: [`SessionBuilder`], typestate run
+//! construction over an [`OptimizerConfig`]. The builder takes its
+//! configuration as given; [`OptimizerConfig::validate`] is the one
+//! check for a configuration built from outside input.
 //!
 //! Historically the crate grew one entry point per capability — a
 //! one-shot `Executor` plus matching `Session` constructors per
@@ -28,18 +29,12 @@
 //! assert!(report.refs > 0);
 //! ```
 
-use std::fmt;
-
 use hds_backend::BackendSelect;
-use hds_bursty::BurstyConfig;
-use hds_guard::{FaultInjector, FaultPlan, FaultRates, GuardConfig, NoFaults};
+use hds_guard::{FaultInjector, NoFaults};
 use hds_telemetry::{NullObserver, Observer};
 use hds_vulcan::{Procedure, ProgramSource};
 
-use crate::config::{
-    AnalysisConcurrency, CycleStrategy, OptimizerConfig, PrefetchPolicy, PrefetchScheduling,
-    RunMode,
-};
+use crate::config::{OptimizerConfig, PrefetchPolicy, RunMode};
 use crate::executor::Session;
 use crate::report::RunReport;
 use crate::snapshot::{Snapshot, SnapshotError};
@@ -179,9 +174,8 @@ impl<M, O: Observer, F: FaultInjector> SessionBuilder<M, O, F> {
     /// (`OptimizerConfig::backend`). The default,
     /// [`BackendSelect::DynPref`], is the paper's grammar → DFSM path;
     /// the alternatives run an online table-driven predictor instead.
-    /// Geometry is validated by [`EngineConfigBuilder::build`]; this
-    /// setter trusts its input like the rest of the raw
-    /// [`OptimizerConfig`] surface.
+    /// Geometry is checked by [`OptimizerConfig::validate`]; this
+    /// setter trusts its input like the rest of the builder.
     #[must_use]
     pub fn backend(mut self, backend: BackendSelect) -> Self {
         self.config.backend = backend;
@@ -304,392 +298,12 @@ impl<O: Observer, F: FaultInjector> SessionBuilder<Ready, O, F> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// EngineConfig
-// ---------------------------------------------------------------------------
-
-/// A configuration rejected by [`EngineConfigBuilder::build`].
-///
-/// Every variant is a setting combination the runtime would previously
-/// only surface as a panic (e.g. `BurstyConfig::new` asserts) or as
-/// silent degeneracy (a duty cycle that never hibernates long enough to
-/// analyze).
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum ConfigError {
-    /// A bursty-tracing counter is zero; the framework degenerates
-    /// (`BurstyConfig::new` would panic).
-    ZeroBurstCounter {
-        /// Which counter (`nCheck0`, `nInstr0`, `nAwake0`,
-        /// `nHibernate0`).
-        field: &'static str,
-    },
-    /// The hibernation phase is shorter than the awake phase — the duty
-    /// cycle is inverted: profiling dominates and (in background mode)
-    /// analysis has no hibernation span to overlap with.
-    HibernationShorterThanAwake {
-        /// `nAwake0` burst-periods.
-        awake: u64,
-        /// `nHibernate0` burst-periods.
-        hibernate: u64,
-    },
-    /// `heat_percent` outside `(0, 100]`.
-    HeatPercentOutOfRange(
-        /// The rejected value.
-        f64,
-    ),
-    /// `analysis.min_length > analysis.max_length`: no stream can ever
-    /// qualify.
-    StreamLengthBoundsInverted {
-        /// Minimum qualifying stream length.
-        min: u64,
-        /// Maximum qualifying stream length.
-        max: u64,
-    },
-    /// `dfsm.head_len == 0`: the matcher would match everything
-    /// unconditionally.
-    ZeroHeadLen,
-    /// `max_streams == 0`: every cycle would optimize nothing.
-    ZeroMaxStreams,
-    /// `PrefetchScheduling::Windowed { degree: 0 }`: queued prefetches
-    /// would never issue.
-    ZeroWindowedDegree,
-    /// An online backend's prefetch degree is zero: it would train but
-    /// never predict.
-    ZeroBackendDegree {
-        /// The offending backend's label.
-        backend: &'static str,
-    },
-    /// An online backend's table geometry is unusable: a row count that
-    /// is zero or not a power of two (the row index is a hash mask), or
-    /// a zero associativity. The backend constructors would panic on
-    /// these; the builder reports them instead.
-    BadBackendGeometry {
-        /// The offending backend's label.
-        backend: &'static str,
-        /// Which geometry field (`rows`, `assoc`, `train_rows`,
-        /// `table_rows`).
-        field: &'static str,
-        /// The rejected value.
-        value: u32,
-    },
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::ZeroBurstCounter { field } => {
-                write!(f, "bursty counter {field} must be nonzero")
-            }
-            ConfigError::HibernationShorterThanAwake { awake, hibernate } => write!(
-                f,
-                "hibernation ({hibernate} burst-periods) is shorter than the awake phase \
-                 ({awake} burst-periods); the duty cycle is inverted"
-            ),
-            ConfigError::HeatPercentOutOfRange(v) => {
-                write!(f, "heat_percent must be in (0, 100], got {v}")
-            }
-            ConfigError::StreamLengthBoundsInverted { min, max } => write!(
-                f,
-                "analysis.min_length ({min}) exceeds max_length ({max}); no stream can qualify"
-            ),
-            ConfigError::ZeroHeadLen => write!(f, "dfsm.head_len must be at least 1"),
-            ConfigError::ZeroMaxStreams => write!(f, "max_streams must be at least 1"),
-            ConfigError::ZeroWindowedDegree => {
-                write!(f, "windowed prefetch scheduling needs degree >= 1")
-            }
-            ConfigError::ZeroBackendDegree { backend } => {
-                write!(f, "{backend} backend needs degree >= 1")
-            }
-            ConfigError::BadBackendGeometry {
-                backend,
-                field,
-                value,
-            } => write!(
-                f,
-                "{backend} backend {field} must be a nonzero power of two, got {value}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// The engine-wide configuration: a *validated* [`OptimizerConfig`]
-/// (which embeds the guard budgets) plus an optional fault plan, built
-/// with [`EngineConfig::builder`].
-///
-/// Construction is the validation boundary: an `EngineConfig` in hand
-/// means every cross-field invariant holds, so downstream code never
-/// re-checks (and never panics on) configuration.
-///
-/// ```
-/// use hds_core::EngineConfig;
-///
-/// let engine = EngineConfig::builder()
-///     .bursty(240, 40, 4, 8)
-///     .heat_percent(1.0)
-///     .build()
-///     .unwrap();
-/// let _builder = engine.session();
-/// ```
-#[derive(Clone, Debug)]
-pub struct EngineConfig {
-    optimizer: OptimizerConfig,
-    fault_seed: u64,
-    fault_rates: Option<FaultRates>,
-}
-
-impl EngineConfig {
-    /// Starts a builder from [`OptimizerConfig::paper_scale`].
-    #[must_use]
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder::new(OptimizerConfig::paper_scale())
-    }
-
-    /// Starts a builder from an existing optimizer configuration (still
-    /// validated at `build()`).
-    #[must_use]
-    pub fn builder_from(optimizer: OptimizerConfig) -> EngineConfigBuilder {
-        EngineConfigBuilder::new(optimizer)
-    }
-
-    /// The validated optimizer configuration.
-    #[must_use]
-    pub fn optimizer(&self) -> &OptimizerConfig {
-        &self.optimizer
-    }
-
-    /// Consumes the config, yielding the optimizer configuration.
-    #[must_use]
-    pub fn into_optimizer(self) -> OptimizerConfig {
-        self.optimizer
-    }
-
-    /// The configured fault plan (seeded, deterministic), when fault
-    /// injection was requested with [`EngineConfigBuilder::faults`].
-    #[must_use]
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault_rates
-            .map(|rates| FaultPlan::with_rates(self.fault_seed, rates))
-    }
-
-    /// Starts a [`SessionBuilder`] over this configuration.
-    #[must_use]
-    pub fn session(&self) -> SessionBuilder {
-        SessionBuilder::new(self.optimizer.clone())
-    }
-}
-
-/// Builder for [`EngineConfig`]; `build()` validates every cross-field
-/// invariant and returns a typed [`ConfigError`] instead of panicking.
-#[derive(Clone, Debug)]
-pub struct EngineConfigBuilder {
-    optimizer: OptimizerConfig,
-    bursty_raw: Option<(u64, u64, u64, u64)>,
-    fault_seed: u64,
-    fault_rates: Option<FaultRates>,
-}
-
-impl EngineConfigBuilder {
-    fn new(optimizer: OptimizerConfig) -> Self {
-        EngineConfigBuilder {
-            optimizer,
-            bursty_raw: None,
-            fault_seed: 0,
-            fault_rates: None,
-        }
-    }
-
-    /// Replaces the whole optimizer configuration.
-    #[must_use]
-    pub fn optimizer(mut self, optimizer: OptimizerConfig) -> Self {
-        self.optimizer = optimizer;
-        self
-    }
-
-    /// Sets the bursty-tracing counters from raw values. Unlike
-    /// `BurstyConfig::new`, zero counters are *reported* (as
-    /// [`ConfigError::ZeroBurstCounter`]) rather than panicking.
-    #[must_use]
-    pub fn bursty(
-        mut self,
-        n_check0: u64,
-        n_instr0: u64,
-        n_awake0: u64,
-        n_hibernate0: u64,
-    ) -> Self {
-        self.bursty_raw = Some((n_check0, n_instr0, n_awake0, n_hibernate0));
-        self
-    }
-
-    /// Sets the heat threshold (percent of each cycle's traced refs).
-    #[must_use]
-    pub fn heat_percent(mut self, percent: f64) -> Self {
-        self.optimizer.heat_percent = percent;
-        self
-    }
-
-    /// Sets where the analyze phase runs (inline or background worker).
-    #[must_use]
-    pub fn concurrency(mut self, concurrency: AnalysisConcurrency) -> Self {
-        self.optimizer.concurrency = concurrency;
-        self
-    }
-
-    /// Sets dynamic (re-profiling) or static (optimize-once) operation.
-    #[must_use]
-    pub fn strategy(mut self, strategy: CycleStrategy) -> Self {
-        self.optimizer.strategy = strategy;
-        self
-    }
-
-    /// Sets when tail prefetches are issued.
-    #[must_use]
-    pub fn scheduling(mut self, scheduling: PrefetchScheduling) -> Self {
-        self.optimizer.scheduling = scheduling;
-        self
-    }
-
-    /// Caps the streams handed to the DFSM per cycle.
-    #[must_use]
-    pub fn max_streams(mut self, max_streams: usize) -> Self {
-        self.optimizer.max_streams = max_streams;
-        self
-    }
-
-    /// Sets the budget guards and accuracy policy.
-    #[must_use]
-    pub fn guard(mut self, guard: GuardConfig) -> Self {
-        self.optimizer.guard = guard;
-        self
-    }
-
-    /// Selects the prefetch backend; geometry is validated at
-    /// [`EngineConfigBuilder::build`] with typed [`ConfigError`]s
-    /// instead of the backend constructors' panics.
-    #[must_use]
-    pub fn backend(mut self, backend: BackendSelect) -> Self {
-        self.optimizer.backend = backend;
-        self
-    }
-
-    /// Requests deterministic fault injection with the given seed and
-    /// rates; read the plan back with [`EngineConfig::fault_plan`].
-    #[must_use]
-    pub fn faults(mut self, seed: u64, rates: FaultRates) -> Self {
-        self.fault_seed = seed;
-        self.fault_rates = Some(rates);
-        self
-    }
-
-    /// Validates and produces the [`EngineConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ConfigError`] found; checks run in a fixed
-    /// order (bursty counters, duty cycle, heat, stream bounds, DFSM,
-    /// stream cap, scheduling).
-    pub fn build(self) -> Result<EngineConfig, ConfigError> {
-        let mut optimizer = self.optimizer;
-        if let Some((n_check0, n_instr0, n_awake0, n_hibernate0)) = self.bursty_raw {
-            for (value, field) in [
-                (n_check0, "nCheck0"),
-                (n_instr0, "nInstr0"),
-                (n_awake0, "nAwake0"),
-                (n_hibernate0, "nHibernate0"),
-            ] {
-                if value == 0 {
-                    return Err(ConfigError::ZeroBurstCounter { field });
-                }
-            }
-            optimizer.bursty = BurstyConfig {
-                n_check0,
-                n_instr0,
-                n_awake0,
-                n_hibernate0,
-            };
-        }
-        let b = optimizer.bursty;
-        if b.n_hibernate0 < b.n_awake0 {
-            return Err(ConfigError::HibernationShorterThanAwake {
-                awake: b.n_awake0,
-                hibernate: b.n_hibernate0,
-            });
-        }
-        if !(optimizer.heat_percent > 0.0 && optimizer.heat_percent <= 100.0) {
-            return Err(ConfigError::HeatPercentOutOfRange(optimizer.heat_percent));
-        }
-        if optimizer.analysis.min_length > optimizer.analysis.max_length {
-            return Err(ConfigError::StreamLengthBoundsInverted {
-                min: optimizer.analysis.min_length,
-                max: optimizer.analysis.max_length,
-            });
-        }
-        if optimizer.dfsm.head_len == 0 {
-            return Err(ConfigError::ZeroHeadLen);
-        }
-        if optimizer.max_streams == 0 {
-            return Err(ConfigError::ZeroMaxStreams);
-        }
-        if let PrefetchScheduling::Windowed { degree: 0 } = optimizer.scheduling {
-            return Err(ConfigError::ZeroWindowedDegree);
-        }
-        validate_backend(&optimizer.backend)?;
-        Ok(EngineConfig {
-            optimizer,
-            fault_seed: self.fault_seed,
-            fault_rates: self.fault_rates,
-        })
-    }
-}
-
-/// Checks an online backend's table geometry: row counts must be
-/// nonzero powers of two (row selection is a hash mask), associativity
-/// and prefetch degree must be nonzero.
-fn validate_backend(backend: &BackendSelect) -> Result<(), ConfigError> {
-    fn pow2(backend: &'static str, field: &'static str, value: u32) -> Result<(), ConfigError> {
-        if value == 0 || !value.is_power_of_two() {
-            return Err(ConfigError::BadBackendGeometry {
-                backend,
-                field,
-                value,
-            });
-        }
-        Ok(())
-    }
-    match backend {
-        BackendSelect::DynPref => Ok(()),
-        BackendSelect::Pangloss(c) => {
-            let label = "Pangloss";
-            pow2(label, "rows", c.rows)?;
-            if c.assoc == 0 {
-                return Err(ConfigError::BadBackendGeometry {
-                    backend: label,
-                    field: "assoc",
-                    value: 0,
-                });
-            }
-            if c.degree == 0 {
-                return Err(ConfigError::ZeroBackendDegree { backend: label });
-            }
-            Ok(())
-        }
-        BackendSelect::Triangel(c) => {
-            let label = "Triangel";
-            pow2(label, "train_rows", c.train_rows)?;
-            pow2(label, "table_rows", c.table_rows)?;
-            if c.degree == 0 {
-                return Err(ConfigError::ZeroBackendDegree { backend: label });
-            }
-            Ok(())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ConfigError, PrefetchScheduling};
+    use hds_bursty::BurstyConfig;
+    use hds_guard::FaultPlan;
     use hds_telemetry::MetricsRecorder;
     use hds_workloads::{SyntheticConfig, SyntheticWorkload, Workload};
 
@@ -765,29 +379,31 @@ mod tests {
 
     #[test]
     fn engine_config_validates_zero_counters() {
-        let err = EngineConfig::builder()
-            .bursty(0, 40, 4, 8)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroBurstCounter { field: "nCheck0" });
-        let err = EngineConfig::builder()
-            .bursty(240, 40, 4, 0)
-            .build()
-            .unwrap_err();
+        let mut config = OptimizerConfig::paper_scale();
+        config.bursty.n_check0 = 0;
         assert_eq!(
-            err,
-            ConfigError::ZeroBurstCounter {
+            config.validate(),
+            Err(ConfigError::ZeroBurstCounter { field: "nCheck0" })
+        );
+        config.bursty = BurstyConfig {
+            n_check0: 240,
+            n_instr0: 40,
+            n_awake0: 4,
+            n_hibernate0: 0,
+        };
+        assert_eq!(
+            config.validate(),
+            Err(ConfigError::ZeroBurstCounter {
                 field: "nHibernate0"
-            }
+            })
         );
     }
 
     #[test]
     fn engine_config_rejects_inverted_duty_cycle() {
-        let err = EngineConfig::builder()
-            .bursty(240, 40, 8, 4)
-            .build()
-            .unwrap_err();
+        let mut config = OptimizerConfig::paper_scale();
+        config.bursty = BurstyConfig::new(240, 40, 8, 4);
+        let err = config.validate().unwrap_err();
         assert_eq!(
             err,
             ConfigError::HibernationShorterThanAwake {
@@ -800,41 +416,37 @@ mod tests {
 
     #[test]
     fn engine_config_rejects_bad_heat_and_bounds() {
+        fn rejects(mut config: OptimizerConfig, edit: fn(&mut OptimizerConfig)) -> ConfigError {
+            edit(&mut config);
+            config.validate().unwrap_err()
+        }
+        let (paper, test) = (
+            OptimizerConfig::paper_scale(),
+            OptimizerConfig::test_scale(),
+        );
         assert_eq!(
-            EngineConfig::builder()
-                .heat_percent(0.0)
-                .build()
-                .unwrap_err(),
+            rejects(paper.clone(), |c| c.heat_percent = 0.0),
             ConfigError::HeatPercentOutOfRange(0.0)
         );
         assert_eq!(
-            EngineConfig::builder()
-                .heat_percent(250.0)
-                .build()
-                .unwrap_err(),
+            rejects(paper.clone(), |c| c.heat_percent = 250.0),
             ConfigError::HeatPercentOutOfRange(250.0)
         );
-        let mut opt = OptimizerConfig::test_scale();
-        opt.analysis.min_length = 200;
         assert_eq!(
-            EngineConfig::builder_from(opt).build().unwrap_err(),
+            rejects(test.clone(), |c| c.analysis.min_length = 200),
             ConfigError::StreamLengthBoundsInverted { min: 200, max: 100 }
         );
-        let mut opt = OptimizerConfig::test_scale();
-        opt.dfsm.head_len = 0;
         assert_eq!(
-            EngineConfig::builder_from(opt).build().unwrap_err(),
+            rejects(test, |c| c.dfsm.head_len = 0),
             ConfigError::ZeroHeadLen
         );
         assert_eq!(
-            EngineConfig::builder().max_streams(0).build().unwrap_err(),
+            rejects(paper.clone(), |c| c.max_streams = 0),
             ConfigError::ZeroMaxStreams
         );
         assert_eq!(
-            EngineConfig::builder()
-                .scheduling(PrefetchScheduling::Windowed { degree: 0 })
-                .build()
-                .unwrap_err(),
+            rejects(paper, |c| c.scheduling =
+                PrefetchScheduling::Windowed { degree: 0 }),
             ConfigError::ZeroWindowedDegree
         );
     }
@@ -842,13 +454,16 @@ mod tests {
     #[test]
     fn engine_config_validates_backend_geometry() {
         use hds_backend::{PanglossConfig, TriangelConfig};
-        let err = EngineConfig::builder()
-            .backend(BackendSelect::Pangloss(PanglossConfig {
-                rows: 100,
-                ..PanglossConfig::default()
-            }))
-            .build()
-            .unwrap_err();
+        let with_backend = |backend| {
+            let mut config = OptimizerConfig::paper_scale();
+            config.backend = backend;
+            config.validate()
+        };
+        let err = with_backend(BackendSelect::Pangloss(PanglossConfig {
+            rows: 100,
+            ..PanglossConfig::default()
+        }))
+        .unwrap_err();
         assert_eq!(
             err,
             ConfigError::BadBackendGeometry {
@@ -858,40 +473,29 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("power of two"));
-        let err = EngineConfig::builder()
-            .backend(BackendSelect::Pangloss(PanglossConfig {
+        assert_eq!(
+            with_backend(BackendSelect::Pangloss(PanglossConfig {
                 degree: 0,
                 ..PanglossConfig::default()
-            }))
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::ZeroBackendDegree {
+            })),
+            Err(ConfigError::ZeroBackendDegree {
                 backend: "Pangloss"
-            }
+            })
         );
-        let err = EngineConfig::builder()
-            .backend(BackendSelect::Triangel(TriangelConfig {
+        assert_eq!(
+            with_backend(BackendSelect::Triangel(TriangelConfig {
                 table_rows: 0,
                 ..TriangelConfig::default()
-            }))
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::BadBackendGeometry {
+            })),
+            Err(ConfigError::BadBackendGeometry {
                 backend: "Triangel",
                 field: "table_rows",
                 value: 0
-            }
+            })
         );
         // Defaults for every backend pass.
         for kind in hds_backend::BackendKind::ALL {
-            assert!(EngineConfig::builder()
-                .backend(BackendSelect::default_for(kind))
-                .build()
-                .is_ok());
+            assert_eq!(with_backend(BackendSelect::default_for(kind)), Ok(()));
         }
     }
 
@@ -908,32 +512,8 @@ mod tests {
     }
 
     #[test]
-    fn engine_config_carries_faults_and_feeds_sessions() {
-        let engine = EngineConfig::builder()
-            .bursty(240, 40, 4, 8)
-            .concurrency(AnalysisConcurrency::Background)
-            .faults(9, FaultRates::default())
-            .build()
-            .unwrap();
-        assert_eq!(engine.optimizer().bursty.n_check0, 240);
-        assert_eq!(
-            engine.optimizer().concurrency,
-            AnalysisConcurrency::Background
-        );
-        let plan = engine.fault_plan().expect("faults configured");
-        assert_eq!(plan.rates(), FaultRates::default());
-        let mut w = workload();
-        let procs = w.procedures();
-        let report = engine.session().procedures(procs).profile().run(&mut w);
-        assert!(report.refs > 0);
-        assert_eq!(engine.into_optimizer().bursty.n_hibernate0, 8);
-    }
-
-    #[test]
     fn valid_paper_scale_passes() {
-        assert!(EngineConfig::builder().build().is_ok());
-        assert!(EngineConfig::builder_from(OptimizerConfig::test_scale())
-            .build()
-            .is_ok());
+        assert_eq!(OptimizerConfig::paper_scale().validate(), Ok(()));
+        assert_eq!(OptimizerConfig::test_scale().validate(), Ok(()));
     }
 }

@@ -1,6 +1,8 @@
 //! Optimizer configuration: run modes, prefetch policies, and the knobs
 //! of every subsystem in one place.
 
+use std::fmt;
+
 use hds_backend::BackendSelect;
 use hds_bursty::BurstyConfig;
 use hds_dfsm::DfsmConfig;
@@ -246,11 +248,209 @@ impl OptimizerConfig {
             backend: BackendSelect::DynPref,
         }
     }
+
+    /// Checks every cross-field invariant the runtime relies on, so a
+    /// configuration built from outside input fails with a typed
+    /// [`ConfigError`] instead of a panic deep in a session.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ConfigError`] found; checks run in a fixed order
+    /// (bursty counters, duty cycle, heat, stream bounds, DFSM, stream
+    /// cap, scheduling, backend geometry).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let b = self.bursty;
+        for (value, field) in [
+            (b.n_check0, "nCheck0"),
+            (b.n_instr0, "nInstr0"),
+            (b.n_awake0, "nAwake0"),
+            (b.n_hibernate0, "nHibernate0"),
+        ] {
+            if value == 0 {
+                return Err(ConfigError::ZeroBurstCounter { field });
+            }
+        }
+        if b.n_hibernate0 < b.n_awake0 {
+            return Err(ConfigError::HibernationShorterThanAwake {
+                awake: b.n_awake0,
+                hibernate: b.n_hibernate0,
+            });
+        }
+        if !(self.heat_percent > 0.0 && self.heat_percent <= 100.0) {
+            return Err(ConfigError::HeatPercentOutOfRange(self.heat_percent));
+        }
+        if self.analysis.min_length > self.analysis.max_length {
+            return Err(ConfigError::StreamLengthBoundsInverted {
+                min: self.analysis.min_length,
+                max: self.analysis.max_length,
+            });
+        }
+        if self.dfsm.head_len == 0 {
+            return Err(ConfigError::ZeroHeadLen);
+        }
+        if self.max_streams == 0 {
+            return Err(ConfigError::ZeroMaxStreams);
+        }
+        if let PrefetchScheduling::Windowed { degree: 0 } = self.scheduling {
+            return Err(ConfigError::ZeroWindowedDegree);
+        }
+        validate_backend(&self.backend)
+    }
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig::paper_scale()
+    }
+}
+
+/// A configuration rejected by [`OptimizerConfig::validate`].
+///
+/// Every variant is a setting combination the runtime would otherwise
+/// only surface as a panic (e.g. `BurstyConfig::new` asserts) or as
+/// silent degeneracy (a duty cycle that never hibernates long enough to
+/// analyze).
+#[derive(Clone, Copy, Debug, PartialEq)]
+#[non_exhaustive]
+pub enum ConfigError {
+    /// A bursty-tracing counter is zero; the framework degenerates
+    /// (`BurstyConfig::new` would panic).
+    ZeroBurstCounter {
+        /// Which counter (`nCheck0`, `nInstr0`, `nAwake0`,
+        /// `nHibernate0`).
+        field: &'static str,
+    },
+    /// The hibernation phase is shorter than the awake phase — the duty
+    /// cycle is inverted: profiling dominates and (in background mode)
+    /// analysis has no hibernation span to overlap with.
+    HibernationShorterThanAwake {
+        /// `nAwake0` burst-periods.
+        awake: u64,
+        /// `nHibernate0` burst-periods.
+        hibernate: u64,
+    },
+    /// `heat_percent` outside `(0, 100]`.
+    HeatPercentOutOfRange(
+        /// The rejected value.
+        f64,
+    ),
+    /// `analysis.min_length > analysis.max_length`: no stream can ever
+    /// qualify.
+    StreamLengthBoundsInverted {
+        /// Minimum qualifying stream length.
+        min: u64,
+        /// Maximum qualifying stream length.
+        max: u64,
+    },
+    /// `dfsm.head_len == 0`: the matcher would match everything
+    /// unconditionally.
+    ZeroHeadLen,
+    /// `max_streams == 0`: every cycle would optimize nothing.
+    ZeroMaxStreams,
+    /// `PrefetchScheduling::Windowed { degree: 0 }`: queued prefetches
+    /// would never issue.
+    ZeroWindowedDegree,
+    /// An online backend's prefetch degree is zero: it would train but
+    /// never predict.
+    ZeroBackendDegree {
+        /// The offending backend's label.
+        backend: &'static str,
+    },
+    /// An online backend's table geometry is unusable: a row count that
+    /// is zero or not a power of two (the row index is a hash mask), or
+    /// a zero associativity. The backend constructors would panic on
+    /// these; `validate` reports them instead.
+    BadBackendGeometry {
+        /// The offending backend's label.
+        backend: &'static str,
+        /// Which geometry field (`rows`, `assoc`, `train_rows`,
+        /// `table_rows`).
+        field: &'static str,
+        /// The rejected value.
+        value: u32,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::ZeroBurstCounter { field } => {
+                write!(f, "bursty counter {field} must be nonzero")
+            }
+            ConfigError::HibernationShorterThanAwake { awake, hibernate } => write!(
+                f,
+                "hibernation ({hibernate} burst-periods) is shorter than the awake phase \
+                 ({awake} burst-periods); the duty cycle is inverted"
+            ),
+            ConfigError::HeatPercentOutOfRange(v) => {
+                write!(f, "heat_percent must be in (0, 100], got {v}")
+            }
+            ConfigError::StreamLengthBoundsInverted { min, max } => write!(
+                f,
+                "analysis.min_length ({min}) exceeds max_length ({max}); no stream can qualify"
+            ),
+            ConfigError::ZeroHeadLen => write!(f, "dfsm.head_len must be at least 1"),
+            ConfigError::ZeroMaxStreams => write!(f, "max_streams must be at least 1"),
+            ConfigError::ZeroWindowedDegree => {
+                write!(f, "windowed prefetch scheduling needs degree >= 1")
+            }
+            ConfigError::ZeroBackendDegree { backend } => {
+                write!(f, "{backend} backend needs degree >= 1")
+            }
+            ConfigError::BadBackendGeometry {
+                backend,
+                field,
+                value,
+            } => write!(
+                f,
+                "{backend} backend {field} must be a nonzero power of two, got {value}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// Checks an online backend's table geometry: row counts must be
+/// nonzero powers of two (row selection is a hash mask), associativity
+/// and prefetch degree must be nonzero.
+fn validate_backend(backend: &BackendSelect) -> Result<(), ConfigError> {
+    fn pow2(backend: &'static str, field: &'static str, value: u32) -> Result<(), ConfigError> {
+        if value == 0 || !value.is_power_of_two() {
+            return Err(ConfigError::BadBackendGeometry {
+                backend,
+                field,
+                value,
+            });
+        }
+        Ok(())
+    }
+    match backend {
+        BackendSelect::DynPref => Ok(()),
+        BackendSelect::Pangloss(c) => {
+            let label = "Pangloss";
+            pow2(label, "rows", c.rows)?;
+            if c.assoc == 0 {
+                return Err(ConfigError::BadBackendGeometry {
+                    backend: label,
+                    field: "assoc",
+                    value: 0,
+                });
+            }
+            if c.degree == 0 {
+                return Err(ConfigError::ZeroBackendDegree { backend: label });
+            }
+            Ok(())
+        }
+        BackendSelect::Triangel(c) => {
+            let label = "Triangel";
+            pow2(label, "train_rows", c.train_rows)?;
+            pow2(label, "table_rows", c.table_rows)?;
+            if c.degree == 0 {
+                return Err(ConfigError::ZeroBackendDegree { backend: label });
+            }
+            Ok(())
+        }
     }
 }
 

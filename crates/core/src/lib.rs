@@ -60,12 +60,10 @@ mod pipeline;
 mod report;
 mod snapshot;
 
-pub use builder::{
-    ConfigError, EngineConfig, EngineConfigBuilder, NeedsMode, Ready, SessionBuilder,
-};
+pub use builder::{NeedsMode, Ready, SessionBuilder};
 pub use config::{
-    AnalysisConcurrency, CycleStrategy, OptimizerConfig, PrefetchPolicy, PrefetchScheduling,
-    RunMode,
+    AnalysisConcurrency, ConfigError, CycleStrategy, OptimizerConfig, PrefetchPolicy,
+    PrefetchScheduling, RunMode,
 };
 pub use executor::Session;
 pub use report::{CostBreakdown, CycleStats, RunReport, WorkerStats};

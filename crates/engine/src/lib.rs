@@ -238,9 +238,9 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-    rayon::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= items.len() {
                     break;
@@ -291,9 +291,9 @@ where
     }
     let chunk = items.len().div_ceil(workers);
     let f = &f;
-    rayon::scope(|s| {
+    std::thread::scope(|s| {
         for slice in items.chunks_mut(chunk) {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for item in slice {
                     f(item);
                 }

@@ -10,6 +10,7 @@
 
 use std::fmt;
 
+use hds_trace::rng::XorShift64Star;
 use hds_trace::{Addr, DataRef};
 use hds_vulcan::EditError;
 
@@ -267,11 +268,11 @@ impl FaultCounts {
 /// `(seed, rates)`.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
-    state: u64,
+    rng: XorShift64Star,
     /// Separate stream for crash decisions: never part of a snapshot, so
     /// a restarted segment re-draws its in-simulation faults without
     /// re-drawing the crash that killed it.
-    crash_state: u64,
+    crash_rng: XorShift64Star,
     rates: FaultRates,
     counts: FaultCounts,
     /// Lifetime cap on crash faults (the chaos harness's termination
@@ -298,12 +299,12 @@ impl FaultPlan {
         let mut plan = FaultPlan::with_rates(seed, FaultRates::quiet());
         #[allow(clippy::cast_possible_truncation)]
         let rates = FaultRates {
-            corrupt_ref: (plan.next() % 8) as u16,
-            truncate_trace: (plan.next() % 3) as u16,
-            fail_edit: (plan.next() % 40) as u16,
-            thread_switch: (plan.next() % 200) as u16,
-            starve_analysis: (plan.next() % 80) as u16,
-            stall_worker: (plan.next() % 150) as u16,
+            corrupt_ref: (plan.rng.next_u64() % 8) as u16,
+            truncate_trace: (plan.rng.next_u64() % 3) as u16,
+            fail_edit: (plan.rng.next_u64() % 40) as u16,
+            thread_switch: (plan.rng.next_u64() % 200) as u16,
+            starve_analysis: (plan.rng.next_u64() % 80) as u16,
+            stall_worker: (plan.rng.next_u64() % 150) as u16,
             ..FaultRates::quiet() // crash rates stay zero: from_seed plans never kill
         };
         plan.rates = rates;
@@ -315,19 +316,15 @@ impl FaultPlan {
     pub fn with_rates(seed: u64, rates: FaultRates) -> Self {
         // Scramble the seed into a nonzero xorshift state; the crash
         // stream gets an independent scramble of the same seed.
-        let state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x2545_F491_4F6C_DD1D;
-        let crash_state = seed.wrapping_mul(0xBF58_476D_1CE4_E5B9) ^ 0x94D0_49BB_1331_11EB;
         FaultPlan {
-            state: if state == 0 {
-                0x2545_F491_4F6C_DD1D
-            } else {
-                state
-            },
-            crash_state: if crash_state == 0 {
-                0x94D0_49BB_1331_11EB
-            } else {
-                crash_state
-            },
+            rng: nonzero_stream(
+                seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x2545_F491_4F6C_DD1D,
+                0x2545_F491_4F6C_DD1D,
+            ),
+            crash_rng: nonzero_stream(
+                seed.wrapping_mul(0xBF58_476D_1CE4_E5B9) ^ 0x94D0_49BB_1331_11EB,
+                0x94D0_49BB_1331_11EB,
+            ),
             rates,
             counts: FaultCounts::default(),
             max_crashes: u32::MAX,
@@ -349,12 +346,12 @@ impl FaultPlan {
         // at least once.
         #[allow(clippy::cast_possible_truncation)]
         {
-            plan.rates.crash_phase_boundary = 150 + (plan.next_crash() % 500) as u16;
-            plan.rates.crash_mid_edit = 200 + (plan.next_crash() % 600) as u16;
-            plan.rates.crash_mid_handoff = 200 + (plan.next_crash() % 600) as u16;
+            plan.rates.crash_phase_boundary = 150 + (plan.crash_rng.next_u64() % 500) as u16;
+            plan.rates.crash_mid_edit = 200 + (plan.crash_rng.next_u64() % 600) as u16;
+            plan.rates.crash_mid_handoff = 200 + (plan.crash_rng.next_u64() % 600) as u16;
             // Chunk feeds are frequent (one draw per wire frame), so the
             // mid-frame rate stays lower than the rare kill points.
-            plan.rates.crash_mid_frame = 50 + (plan.next_crash() % 250) as u16;
+            plan.rates.crash_mid_frame = 50 + (plan.crash_rng.next_u64() % 250) as u16;
         }
         plan.max_crashes = max_crashes;
         plan
@@ -408,26 +405,6 @@ impl FaultPlan {
         self.max_crashes
     }
 
-    /// xorshift64* step.
-    fn next(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// xorshift64* step of the independent crash stream.
-    fn next_crash(&mut self) -> u64 {
-        let mut x = self.crash_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.crash_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
     fn chance(&mut self, permille: u16) -> bool {
         if permille == 0 {
             return false;
@@ -435,8 +412,14 @@ impl FaultPlan {
         if permille >= 1000 {
             return true;
         }
-        self.next() % 1000 < u64::from(permille)
+        self.rng.next_u64() % 1000 < u64::from(permille)
     }
+}
+
+/// A generator over `state`, swapping xorshift's absorbing zero state
+/// for `fallback`.
+fn nonzero_stream(state: u64, fallback: u64) -> XorShift64Star {
+    XorShift64Star::new(if state == 0 { fallback } else { state })
 }
 
 impl FaultInjector for FaultPlan {
@@ -447,7 +430,7 @@ impl FaultInjector for FaultPlan {
         self.counts.corrupted_refs += 1;
         // Flip a few address bits — enough to fall into another cache
         // block so the corruption is observable downstream.
-        let noise = (self.next() | 0x40) & 0xFFFF;
+        let noise = (self.rng.next_u64() | 0x40) & 0xFFFF;
         DataRef {
             pc: r.pc,
             addr: Addr(r.addr.0 ^ noise),
@@ -476,7 +459,7 @@ impl FaultInjector for FaultPlan {
         }
         self.counts.injected_switches += 1;
         #[allow(clippy::cast_possible_truncation)]
-        Some((self.next() % u64::from(threads)) as u32)
+        Some((self.rng.next_u64() % u64::from(threads)) as u32)
     }
 
     fn starve_analysis(&mut self) -> bool {
@@ -494,7 +477,7 @@ impl FaultInjector for FaultPlan {
         self.counts.stalled_workers += 1;
         // 1x–8x the modeled latency: long enough that a large multiple
         // routinely overruns the hibernation span and starves the apply.
-        base_cycles.saturating_mul(1 + self.next() % 8)
+        base_cycles.saturating_mul(1 + self.rng.next_u64() % 8)
     }
 
     fn crash(&mut self, point: CrashPoint) -> bool {
@@ -507,7 +490,7 @@ impl FaultInjector for FaultPlan {
         if permille == 0 || self.crashes_fired >= self.max_crashes {
             return false; // no draw: crash-free plans stay bit-identical
         }
-        let fire = permille >= 1000 || self.next_crash() % 1000 < u64::from(permille);
+        let fire = permille >= 1000 || self.crash_rng.next_u64() % 1000 < u64::from(permille);
         if fire {
             self.crashes_fired += 1;
             self.counts.crashes += 1;
@@ -516,17 +499,12 @@ impl FaultInjector for FaultPlan {
     }
 
     fn snapshot_state(&self) -> u64 {
-        self.state
+        self.rng.state()
     }
 
     fn restore_state(&mut self, state: u64) {
-        // A zero xorshift state is absorbing; no valid snapshot carries
-        // one, but defend anyway.
-        self.state = if state == 0 {
-            0x2545_F491_4F6C_DD1D
-        } else {
-            state
-        };
+        // No valid snapshot carries a zero state, but defend anyway.
+        self.rng = nonzero_stream(state, 0x2545_F491_4F6C_DD1D);
     }
 }
 
@@ -635,8 +613,8 @@ mod tests {
     fn seed_zero_is_usable() {
         let mut plan = FaultPlan::from_seed(0);
         // Must not get stuck at a zero xorshift state.
-        let a = plan.next();
-        let b = plan.next();
+        let a = plan.rng.next_u64();
+        let b = plan.rng.next_u64();
         assert_ne!(a, b);
     }
 

@@ -17,7 +17,7 @@ use crate::client::TenantReport;
 use crate::client::{ClientConfig, ClientError, ClientSession, ClientStats, ClientStatus};
 use crate::load::TenantLoad;
 use crate::manager::SessionManager;
-use crate::transport::{loopback, LoopbackTransport, Transport, TransportError};
+use crate::transport::{loopback, LoopbackTransport};
 
 /// Why a chaos session did not complete.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,27 +120,12 @@ pub fn run_chaos_session<O: Observer>(
             }
             ClientStatus::Working => {}
         }
-        // Server tick: drain whatever arrived, answering immediately.
-        loop {
-            match server_end.recv() {
-                Ok(Some(frame)) => {
-                    for response in manager.handle(frame) {
-                        // A send failing means chaos closed the pipe;
-                        // the client notices on its side and reconnects.
-                        let _ = server_end.send(&response);
-                    }
-                }
-                Ok(None) => break,
-                // A corrupted frame was consumed; the stream is still
-                // framed. The client's retry re-delivers it.
-                Err(TransportError::Frame(_)) => {}
-                // Torn or closed: wait for the client to reconnect.
-                Err(_) => break,
-            }
-        }
-        for response in manager.pump() {
-            let _ = server_end.send(&response);
-        }
+        crate::serve_tick(
+            manager,
+            &mut server_end,
+            SessionManager::handle,
+            SessionManager::pump,
+        );
     };
     Ok(ChaosOutcome {
         reports: client.reports().into_iter().cloned().collect(),

@@ -224,3 +224,34 @@ pub fn serve_with<T: Transport, O: Observer>(
         }
     }
 }
+
+/// One server tick over one end of a link, the loop every poll-driven
+/// harness runs: answer each frame waiting on `end` with `handle`, then
+/// send what `tick` produces (a shard pump, or a cluster's owner ticks).
+///
+/// A damaged frame was consumed with the stream still framed, so it is
+/// dropped like a lost packet and the peer's retry re-delivers it. A
+/// torn or closed link ends the drain, and a failed send is ignored:
+/// the peer reconnects and the resume protocol re-delivers.
+pub fn serve_tick<S, T: Transport>(
+    server: &mut S,
+    end: &mut T,
+    handle: impl Fn(&mut S, Frame) -> Vec<Frame>,
+    tick: impl FnOnce(&mut S) -> Vec<Frame>,
+) {
+    loop {
+        match end.recv() {
+            Ok(Some(frame)) => {
+                for response in handle(server, frame) {
+                    let _ = end.send(&response);
+                }
+            }
+            Ok(None) => break,
+            Err(TransportError::Frame(_)) => {}
+            Err(_) => break,
+        }
+    }
+    for response in tick(server) {
+        let _ = end.send(&response);
+    }
+}

@@ -8,6 +8,7 @@
 //! reproduce the standalone `RunReport` and image digest bit for bit.
 
 use hds_core::{Observer, OptimizerConfig, RunMode, RunReport, SessionBuilder};
+use hds_trace::rng::XorShift64Star;
 use hds_trace::{AccessKind, Addr, DataRef, Pc};
 use hds_vulcan::{Event, ProcId, Procedure};
 
@@ -65,15 +66,6 @@ impl TenantLoad {
     }
 }
 
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
 /// Generates the tenant loads: each tenant loops over its own hot data
 /// stream (the shape the optimizer is built to detect), with
 /// seed-derived pc/address bases so tenants do not alias.
@@ -92,10 +84,12 @@ pub fn generate(cfg: &LoadConfig) -> Result<Vec<TenantLoad>, LoadError> {
     let mut out = Vec::with_capacity(cfg.tenants as usize);
     for t in 0..cfg.tenants {
         let name = format!("tenant-{t:03}");
-        let mut rng = cfg.seed ^ (u64::from(t).wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ 0xA5A5;
+        let mut rng = XorShift64Star::new(
+            cfg.seed ^ (u64::from(t).wrapping_mul(0x9E37_79B9_7F4A_7C15)) ^ 0xA5A5,
+        );
         #[allow(clippy::cast_possible_truncation)]
-        let pc_base = 16 + (xorshift(&mut rng) % 4096) as u32 * 4;
-        let addr_base = 0x1_0000 + (xorshift(&mut rng) % (1 << 20)) * 64;
+        let pc_base = 16 + (rng.next_u64() % 4096) as u32 * 4;
+        let addr_base = 0x1_0000 + (rng.next_u64() % (1 << 20)) * 64;
         let pcs: Vec<Pc> = (0..4).map(|i| Pc(pc_base + i * 4)).collect();
         let stream: Vec<DataRef> = (0..8u64)
             .map(|k| DataRef::new(pcs[(k % 4) as usize], Addr(addr_base + k * 256)))

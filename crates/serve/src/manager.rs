@@ -1068,6 +1068,35 @@ impl<O: Observer> SessionManager<O> {
         }]
     }
 
+    /// Charges one retransmitted frame of a known tenant: counts the
+    /// duplicate, charges the `RetryStorm` budget, and emits the
+    /// `Duplicate` net event. Returns `Err(response)` when the caller
+    /// must answer `Shed` instead.
+    fn charge_duplicate(&mut self, tenant: &str) -> Result<(), Vec<Frame>> {
+        let ctrl = self
+            .tenants
+            .get_mut(tenant)
+            .expect("duplicate of a known tenant");
+        ctrl.duplicates += 1;
+        let (key, duplicates) = (ctrl.key, ctrl.duplicates);
+        self.tally.duplicate_chunks += 1;
+        if let Err(trip) = self.guard.admit_duplicate(duplicates) {
+            return Err(self.shed_frame(tenant.to_string(), key, trip));
+        }
+        self.net_event(tev::NetEventKind::Duplicate, key);
+        Ok(())
+    }
+
+    /// Answers a retransmitted frame with the tenant's resume point once
+    /// [`Self::charge_duplicate`] admits it.
+    fn ack_duplicate(&mut self, tenant: String) -> Vec<Frame> {
+        if let Err(shed) = self.charge_duplicate(&tenant) {
+            return shed;
+        }
+        let seq = self.tenants[&tenant].last_seq;
+        vec![Frame::Ack { tenant, seq }]
+    }
+
     /// Makes room for one more live session. Returns `Err(response)`
     /// when the caller must answer `Busy` instead.
     fn admit_live(&mut self, tenant: &str, key: u64, shard: u32) -> Result<(), Vec<Frame>> {
@@ -1128,19 +1157,7 @@ impl<O: Observer> SessionManager<O> {
             // point instead of an error — but only for the same
             // program image; a conflicting image is a real conflict.
             if self.reliable && ctrl.image == image_key(&procedures) {
-                let (key, last_seq) = (ctrl.key, ctrl.last_seq);
-                let ctrl = self.tenants.get_mut(&tenant).expect("checked above");
-                ctrl.duplicates += 1;
-                let duplicates = ctrl.duplicates;
-                self.tally.duplicate_chunks += 1;
-                if let Err(trip) = self.guard.admit_duplicate(duplicates) {
-                    return self.shed_frame(tenant, key, trip);
-                }
-                self.net_event(tev::NetEventKind::Duplicate, key);
-                return vec![Frame::Ack {
-                    tenant,
-                    seq: last_seq,
-                }];
+                return self.ack_duplicate(tenant);
             }
             return self.reject(RejectCode::TenantAlreadyOpen, &tenant);
         }
@@ -1207,18 +1224,7 @@ impl<O: Observer> SessionManager<O> {
         // 0, the legacy fire-and-forget mode) skip all of this.
         if seq > 0 {
             if seq <= last_seq {
-                let ctrl = self.tenants.get_mut(&tenant).expect("checked above");
-                ctrl.duplicates += 1;
-                let duplicates = ctrl.duplicates;
-                self.tally.duplicate_chunks += 1;
-                if let Err(trip) = self.guard.admit_duplicate(duplicates) {
-                    return self.shed_frame(tenant, key, trip);
-                }
-                self.net_event(tev::NetEventKind::Duplicate, key);
-                return vec![Frame::Ack {
-                    tenant,
-                    seq: last_seq,
-                }];
+                return self.ack_duplicate(tenant);
             }
             if seq > last_seq + 1 {
                 self.tally.sequence_gaps += 1;
@@ -1284,19 +1290,7 @@ impl<O: Observer> SessionManager<O> {
             // A retried Migrate whose Ack was lost is idempotent for
             // the same program image, mirroring `open_session`.
             if self.reliable && ctrl.image == image_key(&record.procedures) {
-                let (key, last_seq) = (ctrl.key, ctrl.last_seq);
-                let ctrl = self.tenants.get_mut(&tenant).expect("checked above");
-                ctrl.duplicates += 1;
-                let duplicates = ctrl.duplicates;
-                self.tally.duplicate_chunks += 1;
-                if let Err(trip) = self.guard.admit_duplicate(duplicates) {
-                    return self.shed_frame(tenant, key, trip);
-                }
-                self.net_event(tev::NetEventKind::Duplicate, key);
-                return vec![Frame::Ack {
-                    tenant,
-                    seq: last_seq,
-                }];
+                return self.ack_duplicate(tenant);
             }
             return self.reject(RejectCode::TenantAlreadyOpen, &tenant);
         }
@@ -1395,13 +1389,9 @@ impl<O: Observer> SessionManager<O> {
             // in transit gets the cached report again — flush is
             // idempotent, the session is computed exactly once.
             if self.reliable {
-                ctrl.duplicates += 1;
-                let (key, duplicates) = (ctrl.key, ctrl.duplicates);
-                self.tally.duplicate_chunks += 1;
-                if let Err(trip) = self.guard.admit_duplicate(duplicates) {
-                    return self.shed_frame(tenant, key, trip);
+                if let Err(shed) = self.charge_duplicate(&tenant) {
+                    return shed;
                 }
-                self.net_event(tev::NetEventKind::Duplicate, key);
                 if let Some(outcome) = self.outcomes.iter().find(|o| o.tenant == tenant) {
                     return vec![Frame::Report {
                         tenant,

@@ -19,6 +19,8 @@
 
 use std::collections::BTreeMap;
 
+use hds_trace::rng::XorShift64Star;
+
 /// A storage operation's typed failure. Every variant is something the
 /// store degrades through gracefully — none of them may panic a
 /// serving process.
@@ -160,17 +162,11 @@ impl MemStorage {
     /// may have flushed some of them, in order, or none). Renames and
     /// removes are modeled as immediately durable.
     pub fn crash(&mut self, seed: u64) {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
+        let mut rng = XorShift64Star::new(seed | 1);
         for file in self.files.values_mut() {
             let unsynced = file.data.len() - file.durable;
             if unsynced > 0 {
-                let kept = (next() as usize) % (unsynced + 1);
+                let kept = (rng.next_u64() as usize) % (unsynced + 1);
                 file.data.truncate(file.durable + kept);
             }
         }

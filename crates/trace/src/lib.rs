@@ -39,6 +39,7 @@
 mod buffer;
 pub mod codec;
 pub mod hash;
+pub mod rng;
 mod symbol;
 mod types;
 

@@ -13,7 +13,7 @@
 use std::process::ExitCode;
 
 use hds::bursty::{BurstyConfig, BurstyTracer, Phase, Signal};
-use hds::dfsm::{build as build_dfsm, DfsmConfig};
+use hds::dfsm::build as build_dfsm;
 use hds::hotstream::{fast, AnalysisConfig};
 use hds::optimizer::{
     CycleStrategy, OptimizerConfig, PrefetchPolicy, RunMode, RunReport, SessionBuilder,
@@ -120,18 +120,22 @@ fn parse_benches(bench: &str) -> Result<Vec<Benchmark>, String> {
         .ok_or_else(|| format!("unknown benchmark {bench} (try `hds list`)"))
 }
 
-fn config_for(opts: &Options) -> OptimizerConfig {
+/// The paper configuration with the command line's overrides, checked
+/// by `OptimizerConfig::validate` so a bad flag is an error, not a
+/// panic inside a session.
+fn config_for(opts: &Options) -> Result<OptimizerConfig, String> {
     let mut config = OptimizerConfig::paper_scale();
-    config.dfsm = DfsmConfig::new(opts.head_len);
+    config.dfsm.head_len = opts.head_len;
     if opts.static_strategy {
         config.strategy = CycleStrategy::Static;
     }
-    config
+    config.validate().map_err(|e| e.to_string())?;
+    Ok(config)
 }
 
 fn cmd_run(opts: &Options) -> Result<(), String> {
     let mode = parse_mode(&opts.mode)?;
-    let config = config_for(opts);
+    let config = config_for(opts)?;
     let mut reports: Vec<RunReport> = Vec::new();
     for which in parse_benches(&opts.bench)? {
         let mut w = benchmark(which, opts.scale);
@@ -263,20 +267,21 @@ fn collect_streams(
 }
 
 fn cmd_dot(opts: &Options) -> Result<(), String> {
+    let config = config_for(opts)?;
     let benches = parse_benches(&opts.bench)?;
     let which = *benches.first().ok_or("no benchmark")?;
     let (streams, symbols, _) = collect_streams(which, opts.scale)?;
     let refs: Vec<Vec<DataRef>> = streams
         .iter()
         .map(|s| symbols.resolve_all(s))
-        .filter(|s| s.len() > opts.head_len)
+        .filter(|s| s.len() > config.dfsm.head_len)
         .take(8) // keep the graph readable
         .collect();
     if refs.is_empty() {
         return Err("no streams long enough for a DFSM".into());
     }
-    let dfsm = build_dfsm(&refs, &DfsmConfig::new(opts.head_len))
-        .map_err(|e| format!("DFSM construction failed: {e}"))?;
+    let dfsm =
+        build_dfsm(&refs, &config.dfsm).map_err(|e| format!("DFSM construction failed: {e}"))?;
     println!("{}", dfsm.to_dot());
     Ok(())
 }
@@ -485,6 +490,23 @@ mod tests {
     fn bench_parsing() {
         assert_eq!(parse_benches("all").unwrap().len(), 6);
         assert_eq!(parse_benches("vpr").unwrap(), vec![Benchmark::Vpr]);
+    }
+
+    #[test]
+    fn zero_headlen_is_an_error_not_a_panic() {
+        let want = Err("dfsm.head_len must be at least 1".to_string());
+        assert_eq!(
+            cmd_run(&parse_args(&args("run --headlen 0")).unwrap()),
+            want
+        );
+        assert_eq!(
+            cmd_dot(&parse_args(&args("dot --headlen 0")).unwrap()),
+            want
+        );
+        let o = parse_args(&args("run --headlen 3 --static")).unwrap();
+        let config = config_for(&o).unwrap();
+        assert_eq!(config.dfsm.head_len, 3);
+        assert_eq!(config.strategy, CycleStrategy::Static);
     }
 
     #[test]
