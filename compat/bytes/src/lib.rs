@@ -5,11 +5,14 @@
 //! owned, cursor-tracked [`Bytes`] reader, a growable [`BytesMut`]
 //! writer, and the [`Buf`]/[`BufMut`] trait methods behind them. The
 //! semantics match the real crate for this subset; zero-copy sharing is
-//! not implemented (buffers are plain vectors).
+//! not implemented (buffers are plain vectors), but consuming a
+//! [`BytesMut`] from the front is amortized O(1) per byte, as in the
+//! real crate.
 
 #![forbid(unsafe_code)]
 
-use std::ops::Deref;
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// An immutable byte buffer with a read cursor.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -53,6 +56,14 @@ impl Bytes {
         self.pos += len;
         out
     }
+
+    /// Keeps the first `len` unconsumed bytes and drops the rest; no
+    /// effect when fewer than `len` remain.
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.data.truncate(self.pos + len);
+        }
+    }
 }
 
 impl Deref for Bytes {
@@ -75,10 +86,13 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
-/// A growable byte buffer for writing.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A growable byte buffer for writing, consumable from the front.
+#[derive(Clone, Default)]
 pub struct BytesMut {
     data: Vec<u8>,
+    /// Bytes at the front already split off: the buffer is
+    /// `data[head..]`.
+    head: usize,
 }
 
 impl BytesMut {
@@ -93,19 +107,20 @@ impl BytesMut {
     pub fn with_capacity(capacity: usize) -> Self {
         BytesMut {
             data: Vec::with_capacity(capacity),
+            head: 0,
         }
     }
 
-    /// Bytes written so far.
+    /// Bytes in the buffer.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data.len() - self.head
     }
 
     /// Is the buffer empty?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Converts the buffer into an immutable [`Bytes`].
@@ -113,7 +128,7 @@ impl BytesMut {
     pub fn freeze(self) -> Bytes {
         Bytes {
             data: self.data,
-            pos: 0,
+            pos: self.head,
         }
     }
 
@@ -124,16 +139,31 @@ impl BytesMut {
 
     /// Splits off and returns the first `at` bytes, leaving the rest.
     ///
+    /// Taking the whole buffer hands its storage over; otherwise the
+    /// `at` bytes are copied out and the rest stays where it is, moved
+    /// down only once the consumed front passes half the storage. So
+    /// draining a buffer frame by frame costs O(1) per byte, however
+    /// many frames are queued behind the one taken.
+    ///
     /// # Panics
     ///
     /// Panics if fewer than `at` bytes are buffered.
     #[must_use]
     pub fn split_to(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.data.len(), "split_to past end");
-        let rest = self.data.split_off(at);
-        BytesMut {
-            data: std::mem::replace(&mut self.data, rest),
+        assert!(at <= self.len(), "split_to past end");
+        if at == self.len() {
+            return std::mem::take(self);
         }
+        let out = BytesMut {
+            data: self.data[self.head..self.head + at].to_vec(),
+            head: 0,
+        };
+        self.head += at;
+        if self.head > self.data.len() / 2 {
+            self.data.drain(..self.head);
+            self.head = 0;
+        }
+        out
     }
 }
 
@@ -141,7 +171,27 @@ impl Deref for BytesMut {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.data
+        &self.data[self.head..]
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data[self.head..]
+    }
+}
+
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for BytesMut {}
+
+impl fmt::Debug for BytesMut {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BytesMut").field("data", &&**self).finish()
     }
 }
 
@@ -282,6 +332,44 @@ mod tests {
         assert_eq!(&b[..], &[9, 8, 7]);
         b.get_u8();
         assert_eq!(&b[..], &[8, 7]);
+    }
+
+    #[test]
+    fn truncate_keeps_the_unconsumed_front() {
+        let mut b = Bytes::copy_from_slice(&[1, 2, 3, 4, 5]);
+        b.advance(1);
+        b.truncate(3);
+        assert_eq!(&b[..], &[2, 3, 4]);
+        b.truncate(9);
+        assert_eq!(&b[..], &[2, 3, 4]);
+    }
+
+    #[test]
+    fn split_to_consumes_from_the_front_in_order() {
+        let mut buf = BytesMut::new();
+        let all: Vec<u8> = (0..=255).collect();
+        buf.extend_from_slice(&all);
+        let mut taken = Vec::new();
+        // Uneven splits cross the compaction point several times.
+        for at in [1usize, 7, 100, 3, 60, 40] {
+            let part = buf.split_to(at);
+            assert_eq!(part.len(), at);
+            taken.extend_from_slice(&part);
+            assert_eq!(&buf[..], &all[taken.len()..]);
+        }
+        // Appends land behind what is left; the rest splits whole.
+        buf.extend_from_slice(&[7, 7]);
+        buf[0] = 9;
+        let rest = buf.split_to(buf.len());
+        assert!(buf.is_empty());
+        assert_eq!(rest.len(), 256 - taken.len() + 2);
+        assert_eq!(rest[0], 9);
+        assert_eq!(rest.clone().freeze()[..], rest[..]);
+        assert_eq!(rest, {
+            let mut same = BytesMut::new();
+            same.extend_from_slice(&rest);
+            same
+        });
     }
 
     #[test]

@@ -330,7 +330,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// An admissible length range for [`vec`].
+    /// An admissible length range for [`vec()`].
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         min: usize,
@@ -363,7 +363,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

@@ -27,8 +27,8 @@
 //! the phase that died.
 //!
 //! Run: `cargo run --release -p hds-bench --bin bench_trace`
-//! (options: `--test-scale`, `--reps <n>` (default 5), `--dump-dir
-//! <dir>` for the forced-crash flight dump).
+//! (options: `--test-scale`, `--reps <n>` (default 5),
+//! `--dump-dir <dir>` for the forced-crash flight dump).
 
 use std::time::Instant;
 

@@ -103,7 +103,7 @@ struct RunState {
 ///
 /// [`crate::SessionBuilder::run`] is a thin driver over this type;
 /// embedders that produce events from a live system (rather than a
-/// [`ProgramSource`]) use `Session` directly.
+/// [`ProgramSource`](hds_vulcan::ProgramSource)) use `Session` directly.
 ///
 /// # Observability
 ///

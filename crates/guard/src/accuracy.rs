@@ -95,7 +95,7 @@ pub struct StreamAccuracyState {
     pub streak: u32,
 }
 
-/// Serializable snapshot of an [`AccuracyTracker`]: per-stream window
+/// Serializable snapshot of an `AccuracyTracker`: per-stream window
 /// accumulators (sorted by stream id) plus the cross-installation
 /// denylist (sorted). The config is not included — it is part of the
 /// session configuration, which a checkpoint validates separately.

@@ -35,7 +35,10 @@ use hds_telemetry::events as tev;
 use hds_vulcan::{Event, Procedure};
 
 use crate::transport::{Transport, TransportError};
-use crate::wire::{Frame, RejectCode, FEATURE_RELIABLE, WIRE_VERSION};
+use crate::wire::{
+    Frame, RejectCode, FEATURE_RELIABLE, K_CHUNK, K_EXPORT, K_FLUSH, K_GOODBYE, K_HELLO, K_MIGRATE,
+    K_OPEN, WIRE_VERSION,
+};
 
 /// Client behaviour knobs. Defaults are sane for the chaos harness.
 #[derive(Clone, Debug)]
@@ -53,10 +56,12 @@ pub struct ClientConfig {
     /// Send a `Goodbye` drain once every tenant has its report.
     pub goodbye: bool,
     /// `AuthFailed` rejects tolerated (with a fresh handshake each
-    /// time) before concluding the credential itself is bad. The wire
-    /// carries no checksum, so a token can be damaged in flight; a
-    /// genuinely wrong token fails persistently and still surfaces as
-    /// [`ClientError::Rejected`].
+    /// time) before concluding the credential itself is bad. The frame
+    /// checksum turns almost every token damaged in flight into a
+    /// dropped frame rather than a reject; these retries cover the
+    /// damage that still matches its checksum (p ≈ 2^-32 per damaged
+    /// frame). A genuinely wrong token fails persistently and still
+    /// surfaces as [`ClientError::Rejected`].
     pub auth_retries: u32,
     /// Prefetch backend to request in `Hello`. `None` (the default)
     /// omits the negotiation byte entirely — the server's per-tenant
@@ -468,8 +473,23 @@ impl<T: Transport, O: Observer> ClientSession<T, O> {
         }
     }
 
-    fn frame_for(&self, pending: Pending) -> Frame {
+    /// The wire kind tag of `pending`'s frame.
+    fn kind_tag(&self, pending: Pending) -> u8 {
         match pending {
+            Pending::Hello => K_HELLO,
+            Pending::Open(i) if self.flows[i].open_record.is_some() => K_MIGRATE,
+            Pending::Open(_) => K_OPEN,
+            Pending::Chunk(..) => K_CHUNK,
+            Pending::Flush(_) => K_FLUSH,
+            Pending::Export(_) => K_EXPORT,
+            Pending::Goodbye => K_GOODBYE,
+        }
+    }
+
+    /// Sends `pending`'s frame; a send failure kills the connection. A
+    /// chunk's events are lent to its frame and taken back, not copied.
+    fn send_request(&mut self, pending: Pending) -> bool {
+        let frame = match pending {
             Pending::Hello => Frame::Hello {
                 version: WIRE_VERSION,
                 token: self.cfg.token.clone(),
@@ -485,11 +505,19 @@ impl<T: Transport, O: Observer> ClientSession<T, O> {
                     procedures: self.flows[i].procedures.clone(),
                 },
             },
-            Pending::Chunk(i, seq) => Frame::TraceChunk {
-                tenant: self.flows[i].name.clone(),
-                seq,
-                events: self.flows[i].chunks[(seq - 1) as usize].clone(),
-            },
+            Pending::Chunk(i, seq) => {
+                let slot = (seq - 1) as usize;
+                let frame = Frame::TraceChunk {
+                    tenant: self.flows[i].name.clone(),
+                    seq,
+                    events: std::mem::take(&mut self.flows[i].chunks[slot]),
+                };
+                let sent = self.push(&frame);
+                if let Frame::TraceChunk { events, .. } = frame {
+                    self.flows[i].chunks[slot] = events;
+                }
+                return sent;
+            }
             Pending::Flush(i) => Frame::Flush {
                 tenant: self.flows[i].name.clone(),
             },
@@ -498,7 +526,8 @@ impl<T: Transport, O: Observer> ClientSession<T, O> {
                 detach: self.flows[i].export_requested.unwrap_or(false),
             },
             Pending::Goodbye => Frame::Goodbye,
-        }
+        };
+        self.push(&frame)
     }
 
     /// Sends `frame`; a send failure kills the connection.
@@ -522,8 +551,7 @@ impl<T: Transport, O: Observer> ClientSession<T, O> {
 
     /// Sends a barrier request on an (asserted-empty) pipeline.
     fn send_barrier(&mut self, pending: Pending) -> Result<ClientStatus, ClientError> {
-        let frame = self.frame_for(pending);
-        if !self.push(&frame) {
+        if !self.send_request(pending) {
             return Ok(ClientStatus::NeedReconnect);
         }
         self.inflight.push(InFlight {
@@ -579,8 +607,7 @@ impl<T: Transport, O: Observer> ClientSession<T, O> {
                 .unwrap_or(self.flows[i].acked);
             let mut next = highest.max(self.flows[i].acked) + 1;
             while in_flight < window && next <= self.flows[i].chunks.len() as u64 {
-                let frame = self.frame_for(Pending::Chunk(i, next));
-                if !self.push(&frame) {
+                if !self.send_request(Pending::Chunk(i, next)) {
                     return Ok(ClientStatus::NeedReconnect);
                 }
                 self.inflight.push(InFlight {
@@ -665,7 +692,7 @@ impl<T: Transport, O: Observer> ClientSession<T, O> {
             let attempt = self.inflight[k].attempt + 1;
             if attempt > self.cfg.max_retries {
                 return Err(ClientError::RetriesExhausted {
-                    kind: self.frame_for(pending).kind_tag(),
+                    kind: self.kind_tag(pending),
                     attempts: attempt - 1,
                 });
             }
@@ -674,8 +701,7 @@ impl<T: Transport, O: Observer> ClientSession<T, O> {
                 (self.cfg.backoff_base << (attempt - 1).min(16)).min(self.cfg.backoff_cap);
             self.stats.backoff_polls += backoff;
             self.net_event(tev::NetEventKind::Retry, backoff);
-            let frame = self.frame_for(pending);
-            if !self.push(&frame) {
+            if !self.send_request(pending) {
                 return Ok(ClientStatus::NeedReconnect);
             }
             let e = &mut self.inflight[k];
@@ -759,7 +785,7 @@ impl<T: Transport, O: Observer> ClientSession<T, O> {
                     let attempt = self.inflight[k].attempt + 1;
                     if attempt > self.cfg.max_retries {
                         return Err(ClientError::RetriesExhausted {
-                            kind: self.frame_for(self.inflight[k].pending).kind_tag(),
+                            kind: self.kind_tag(self.inflight[k].pending),
                             attempts: attempt - 1,
                         });
                     }
@@ -843,10 +869,11 @@ impl<T: Transport, O: Observer> ClientSession<T, O> {
             }
             RejectCode::AuthFailed => {
                 // The token the server read was wrong — but ours may
-                // merely have been damaged in flight (the wire carries
-                // no checksum). Corruption is transient; a bad
-                // credential is persistent. Re-handshake a bounded
-                // number of times before believing the latter.
+                // merely have been damaged in flight in a way that
+                // still matched the frame checksum (p ≈ 2^-32).
+                // Corruption is transient; a bad credential is
+                // persistent. Re-handshake a bounded number of times
+                // before believing the latter.
                 self.auth_rejects += 1;
                 if self.auth_rejects > self.cfg.auth_retries {
                     return Err(ClientError::Rejected {

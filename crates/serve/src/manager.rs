@@ -1725,18 +1725,22 @@ fn build_session(
         .build()
 }
 
-/// Feeds one event with the replay-tail bookkeeping: an event absorbed
-/// into a fresh phase-boundary snapshot clears the tail (the snapshot
-/// now covers it); otherwise it joins the tail.
-fn feed(live: &mut LiveSession, event: Event) {
-    live.session.on_event(event);
-    let snaps = live.session.snapshots_taken();
-    if snaps > live.snaps {
-        live.snaps = snaps;
-        live.tail.clear();
-    } else {
-        live.tail.push(event);
+/// Feeds a chunk with the replay-tail bookkeeping: a fresh
+/// phase-boundary snapshot covers every event up to and including the
+/// one that took it, so the tail keeps only what followed the last
+/// boundary the chunk crossed, extended once per chunk.
+fn feed_chunk(live: &mut LiveSession, events: &[Event]) {
+    let mut suffix = 0;
+    for (i, &event) in events.iter().enumerate() {
+        live.session.on_event(event);
+        let snaps = live.session.snapshots_taken();
+        if snaps > live.snaps {
+            live.snaps = snaps;
+            live.tail.clear();
+            suffix = i + 1;
+        }
     }
+    live.tail.extend_from_slice(&events[suffix..]);
 }
 
 /// Moves a live session to cold storage; returns `(snapshot_bytes,
@@ -1790,9 +1794,7 @@ fn ensure_live(
         tail: Vec::new(),
     };
     let replayed = cold.tail.len() as u64;
-    for event in cold.tail {
-        feed(&mut live, event);
-    }
+    feed_chunk(&mut live, &cold.tail);
     state.live = Some(live);
     notes.push(Note::Resumed { key, replayed });
 }
@@ -1856,9 +1858,7 @@ impl Shard {
                         ensure_live(state, optimizer, mode, &mut self.notes, key);
                     }
                     let live = state.live.as_mut().expect("live after rehydration");
-                    for event in events {
-                        feed(live, event);
-                    }
+                    feed_chunk(live, &events);
                 }
                 ShardMsg::Flush { tenant } => {
                     if let Some(mut state) = self.sessions.remove(&tenant) {

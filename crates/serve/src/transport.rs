@@ -11,7 +11,6 @@
 //! * `TcpTransport` (behind the `net` feature) — blocking `std::net`
 //!   TCP, one frame stream per connection. No external dependencies.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use bytes::BytesMut;
@@ -94,7 +93,7 @@ pub trait Transport {
 /// buffered in a kernel socket when the peer resets.
 #[derive(Default)]
 struct PipeState {
-    bytes: VecDeque<u8>,
+    bytes: Vec<u8>,
     closed: bool,
 }
 
@@ -136,10 +135,8 @@ impl Transport for LoopbackTransport {
     fn recv(&mut self) -> Result<Option<Frame>, TransportError> {
         let closed = {
             let mut inbox = self.inbox.lock().map_err(|_| TransportError::Closed)?;
-            if !inbox.bytes.is_empty() {
-                let drained: Vec<u8> = inbox.bytes.drain(..).collect();
-                self.reassembly.extend_from_slice(&drained);
-            }
+            self.reassembly.extend_from_slice(&inbox.bytes);
+            inbox.bytes.clear();
             inbox.closed
         };
         if let Some(frame) = decode_stream(&mut self.reassembly)? {
@@ -158,7 +155,7 @@ impl Transport for LoopbackTransport {
         if out.closed {
             return Err(TransportError::Closed);
         }
-        out.bytes.extend(bytes.iter().copied());
+        out.bytes.extend_from_slice(bytes);
         Ok(())
     }
 

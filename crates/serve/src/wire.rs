@@ -28,7 +28,8 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hds_backend::BackendKind;
 use hds_store::{decode_record, encode_record, Record, TenantRecord};
-use hds_trace::codec::{get_varint, put_varint, unzigzag, zigzag, CodecError};
+use hds_trace::codec::{get_varint, put_varint, take_varint, unzigzag, zigzag, CodecError};
+use hds_trace::hash::Fnv1a32;
 use hds_trace::{AccessKind, Addr, DataRef, Pc};
 use hds_vulcan::{Event, ProcId, Procedure};
 
@@ -44,17 +45,17 @@ pub const MAX_FRAME_BYTES: u32 = 1 << 26;
 // Frame kind tags. Client→server kinds sit below 0x80, server→client
 // kinds at or above it; the split is cosmetic (both directions decode
 // with the same function) but makes hex dumps readable.
-const K_HELLO: u8 = 0x01;
-const K_OPEN: u8 = 0x02;
-const K_CHUNK: u8 = 0x03;
-const K_FLUSH: u8 = 0x04;
+pub(crate) const K_HELLO: u8 = 0x01;
+pub(crate) const K_OPEN: u8 = 0x02;
+pub(crate) const K_CHUNK: u8 = 0x03;
+pub(crate) const K_FLUSH: u8 = 0x04;
 const K_EVICT: u8 = 0x05;
 const K_RESUME: u8 = 0x06;
 const K_INTROSPECT: u8 = 0x07;
-const K_GOODBYE: u8 = 0x08;
+pub(crate) const K_GOODBYE: u8 = 0x08;
 const K_PONG: u8 = 0x09;
-const K_MIGRATE: u8 = 0x0A;
-const K_EXPORT: u8 = 0x0B;
+pub(crate) const K_MIGRATE: u8 = 0x0A;
+pub(crate) const K_EXPORT: u8 = 0x0B;
 const K_HELLO_ACK: u8 = 0x81;
 const K_REPORT: u8 = 0x82;
 const K_BUSY: u8 = 0x83;
@@ -531,8 +532,41 @@ fn get_budget_kind(buf: &mut Bytes) -> Result<hds_telemetry::events::ServeBudget
     }
 }
 
-fn put_events(out: &mut BytesMut, events: &[Event]) {
-    put_varint(out, events.len() as u64);
+/// Most bytes one event encodes to: tag, access kind and two
+/// ten-byte varints.
+const MAX_EVENT_BYTES: usize = 22;
+
+/// A writer that folds every byte into the frame checksum as it
+/// writes it, so a chunk's body is checksummed in the pass that
+/// encodes it.
+struct Summed<'a> {
+    out: &'a mut BytesMut,
+    sum: &'a mut Fnv1a32,
+}
+
+impl Summed<'_> {
+    #[inline]
+    fn u8(&mut self, b: u8) {
+        self.out.put_u8(b);
+        self.sum.write_u8(b);
+    }
+
+    /// The bytes [`put_varint`] writes.
+    #[inline]
+    fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            #[allow(clippy::cast_possible_truncation)]
+            self.u8(v as u8 | 0x80);
+            v >>= 7;
+        }
+        #[allow(clippy::cast_possible_truncation)]
+        self.u8(v as u8);
+    }
+}
+
+fn put_events(out: &mut BytesMut, sum: &mut Fnv1a32, events: &[Event]) {
+    let mut w = Summed { out, sum };
+    w.varint(events.len() as u64);
     // Per-chunk delta predictor, exactly as the profile codec resets
     // per burst: chunks decode independently of each other.
     let mut prev_pc: i64 = 0;
@@ -540,45 +574,53 @@ fn put_events(out: &mut BytesMut, events: &[Event]) {
     for e in events {
         match *e {
             Event::Enter(p) => {
-                out.put_u8(E_ENTER);
-                put_varint(out, u64::from(p.0));
+                w.u8(E_ENTER);
+                w.varint(u64::from(p.0));
             }
             Event::BackEdge(p) => {
-                out.put_u8(E_BACK_EDGE);
-                put_varint(out, u64::from(p.0));
+                w.u8(E_BACK_EDGE);
+                w.varint(u64::from(p.0));
             }
             Event::Exit(p) => {
-                out.put_u8(E_EXIT);
-                put_varint(out, u64::from(p.0));
+                w.u8(E_EXIT);
+                w.varint(u64::from(p.0));
             }
             Event::Work(n) => {
-                out.put_u8(E_WORK);
-                put_varint(out, u64::from(n));
+                w.u8(E_WORK);
+                w.varint(u64::from(n));
             }
             Event::Access(r, kind) => {
-                out.put_u8(E_ACCESS);
-                out.put_u8(match kind {
+                w.u8(E_ACCESS);
+                w.u8(match kind {
                     AccessKind::Load => 0,
                     AccessKind::Store => 1,
                 });
                 let pc = i64::from(r.pc.0);
                 #[allow(clippy::cast_possible_wrap)]
                 let addr = r.addr.0 as i64;
-                put_varint(out, zigzag(pc.wrapping_sub(prev_pc)));
-                put_varint(out, zigzag(addr.wrapping_sub(prev_addr)));
+                w.varint(zigzag(pc.wrapping_sub(prev_pc)));
+                w.varint(zigzag(addr.wrapping_sub(prev_addr)));
                 prev_pc = pc;
                 prev_addr = addr;
             }
             Event::Prefetch(a) => {
-                out.put_u8(E_PREFETCH);
-                put_varint(out, a.0);
+                w.u8(E_PREFETCH);
+                w.varint(a.0);
             }
             Event::Thread(t) => {
-                out.put_u8(E_THREAD);
-                put_varint(out, u64::from(t));
+                w.u8(E_THREAD);
+                w.varint(u64::from(t));
             }
         }
     }
+}
+
+/// Takes one byte off the front of `s`.
+#[inline(always)]
+fn take_u8(s: &mut &[u8]) -> Result<u8, CodecError> {
+    let (&b, rest) = s.split_first().ok_or(CodecError::Truncated)?;
+    *s = rest;
+    Ok(b)
 }
 
 fn get_events(buf: &mut Bytes) -> Result<Vec<Event>, FrameError> {
@@ -592,14 +634,15 @@ fn get_events(buf: &mut Bytes) -> Result<Vec<Event>, FrameError> {
     let mut events = Vec::with_capacity((n as usize).min(1 << 16));
     let mut prev_pc: i64 = 0;
     let mut prev_addr: i64 = 0;
+    // Walk the rest of the body as a plain slice; consume what was
+    // read once the events are done.
+    let body: &[u8] = buf;
+    let mut s = body;
     for _ in 0..n {
-        if !buf.has_remaining() {
-            return Err(FrameError::Truncated);
-        }
-        let tag = buf.get_u8();
+        let tag = take_u8(&mut s)?;
         let event = match tag {
             E_ENTER | E_BACK_EDGE | E_EXIT => {
-                let raw = get_varint(buf)?;
+                let raw = take_varint(&mut s)?;
                 let p = ProcId(
                     u32::try_from(raw).map_err(|_| FrameError::BadPayload("proc id overflow"))?,
                 );
@@ -610,30 +653,27 @@ fn get_events(buf: &mut Bytes) -> Result<Vec<Event>, FrameError> {
                 }
             }
             E_WORK => {
-                let raw = get_varint(buf)?;
+                let raw = take_varint(&mut s)?;
                 Event::Work(
                     u32::try_from(raw).map_err(|_| FrameError::BadPayload("work overflow"))?,
                 )
             }
             E_ACCESS => {
-                if !buf.has_remaining() {
-                    return Err(FrameError::Truncated);
-                }
-                let kind = match buf.get_u8() {
+                let kind = match take_u8(&mut s)? {
                     0 => AccessKind::Load,
                     1 => AccessKind::Store,
                     _ => return Err(FrameError::BadPayload("unknown access kind")),
                 };
-                let pc = prev_pc.wrapping_add(unzigzag(get_varint(buf)?));
-                let addr = prev_addr.wrapping_add(unzigzag(get_varint(buf)?));
+                let pc = prev_pc.wrapping_add(unzigzag(take_varint(&mut s)?));
+                let addr = prev_addr.wrapping_add(unzigzag(take_varint(&mut s)?));
                 prev_pc = pc;
                 prev_addr = addr;
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 Event::Access(DataRef::new(Pc(pc as u32), Addr(addr as u64)), kind)
             }
-            E_PREFETCH => Event::Prefetch(Addr(get_varint(buf)?)),
+            E_PREFETCH => Event::Prefetch(Addr(take_varint(&mut s)?)),
             E_THREAD => {
-                let raw = get_varint(buf)?;
+                let raw = take_varint(&mut s)?;
                 Event::Thread(
                     u32::try_from(raw).map_err(|_| FrameError::BadPayload("thread overflow"))?,
                 )
@@ -642,6 +682,8 @@ fn get_events(buf: &mut Bytes) -> Result<Vec<Event>, FrameError> {
         };
         events.push(event);
     }
+    let read = body.len() - s.len();
+    buf.advance(read);
     Ok(events)
 }
 
@@ -860,7 +902,20 @@ impl Frame {
     /// Serializes the frame, length prefix included.
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        let mut body = BytesMut::with_capacity(64);
+        // Sized so a chunk frame never regrows: its fixed fields fit in
+        // 64 bytes, and no event encodes to more than MAX_EVENT_BYTES.
+        let chunk_bytes = match self {
+            Frame::TraceChunk { tenant, events, .. } => {
+                tenant.len() + events.len() * MAX_EVENT_BYTES
+            }
+            _ => 0,
+        };
+        let mut out = BytesMut::with_capacity(64 + chunk_bytes);
+        // The length prefix, written once the body is.
+        out.put_u32_le(0);
+        let mut sum = Fnv1a32::new();
+        // Where the body bytes not yet folded into `sum` start.
+        let mut unsummed = LEN_BYTES;
         match self {
             Frame::Hello {
                 version,
@@ -868,68 +923,70 @@ impl Frame {
                 features,
                 backend,
             } => {
-                body.put_u8(K_HELLO);
-                body.put_slice(MAGIC);
-                body.put_u8(*version);
-                put_string(&mut body, token);
-                body.put_u8(*features);
+                out.put_u8(K_HELLO);
+                out.put_slice(MAGIC);
+                out.put_u8(*version);
+                put_string(&mut out, token);
+                out.put_u8(*features);
                 // Optional trailing byte: absent entirely for `None`,
                 // so the encoding of a backend-less Hello is
                 // byte-identical to the pre-backend wire format.
                 if let Some(b) = backend {
-                    body.put_u8(b.wire_code());
+                    out.put_u8(b.wire_code());
                 }
             }
             Frame::OpenSession { tenant, procedures } => {
-                body.put_u8(K_OPEN);
-                put_string(&mut body, tenant);
-                put_procedures(&mut body, procedures);
+                out.put_u8(K_OPEN);
+                put_string(&mut out, tenant);
+                put_procedures(&mut out, procedures);
             }
             Frame::TraceChunk {
                 tenant,
                 seq,
                 events,
             } => {
-                body.put_u8(K_CHUNK);
-                put_string(&mut body, tenant);
-                put_varint(&mut body, *seq);
-                put_events(&mut body, events);
+                out.put_u8(K_CHUNK);
+                put_string(&mut out, tenant);
+                put_varint(&mut out, *seq);
+                sum.write(&out[LEN_BYTES..]);
+                put_events(&mut out, &mut sum, events);
+                unsummed = out.len();
             }
             Frame::Flush { tenant } => {
-                body.put_u8(K_FLUSH);
-                put_string(&mut body, tenant);
+                out.put_u8(K_FLUSH);
+                put_string(&mut out, tenant);
             }
             Frame::Evict { tenant } => {
-                body.put_u8(K_EVICT);
-                put_string(&mut body, tenant);
+                out.put_u8(K_EVICT);
+                put_string(&mut out, tenant);
             }
             Frame::Resume { tenant } => {
-                body.put_u8(K_RESUME);
-                put_string(&mut body, tenant);
+                out.put_u8(K_RESUME);
+                put_string(&mut out, tenant);
             }
             Frame::Introspect { tenant } => {
-                body.put_u8(K_INTROSPECT);
-                put_string(&mut body, tenant);
+                out.put_u8(K_INTROSPECT);
+                put_string(&mut out, tenant);
             }
             Frame::Migrate { record } => {
-                body.put_u8(K_MIGRATE);
-                put_record(&mut body, record);
+                out.put_u8(K_MIGRATE);
+                put_record(&mut out, record);
             }
             Frame::Export { tenant, detach } => {
-                body.put_u8(K_EXPORT);
-                put_string(&mut body, tenant);
-                body.put_u8(u8::from(*detach));
+                out.put_u8(K_EXPORT);
+                put_string(&mut out, tenant);
+                out.put_u8(u8::from(*detach));
             }
             Frame::Exported { record } => {
-                body.put_u8(K_EXPORTED);
-                put_record(&mut body, record);
+                out.put_u8(K_EXPORTED);
+                put_record(&mut out, record);
             }
             Frame::HelloAck { version, backend } => {
-                body.put_u8(K_HELLO_ACK);
-                body.put_slice(MAGIC);
-                body.put_u8(*version);
+                out.put_u8(K_HELLO_ACK);
+                out.put_slice(MAGIC);
+                out.put_u8(*version);
                 if let Some(b) = backend {
-                    body.put_u8(b.wire_code());
+                    out.put_u8(b.wire_code());
                 }
             }
             Frame::Report {
@@ -937,20 +994,20 @@ impl Frame {
                 report_json,
                 image_digest,
             } => {
-                body.put_u8(K_REPORT);
-                put_string(&mut body, tenant);
-                put_string(&mut body, report_json);
-                put_varint(&mut body, *image_digest);
+                out.put_u8(K_REPORT);
+                put_string(&mut out, tenant);
+                put_string(&mut out, report_json);
+                put_varint(&mut out, *image_digest);
             }
             Frame::Busy {
                 tenant,
                 budget,
                 observed,
             } => {
-                body.put_u8(K_BUSY);
-                put_string(&mut body, tenant);
-                put_varint(&mut body, *budget);
-                put_varint(&mut body, *observed);
+                out.put_u8(K_BUSY);
+                put_string(&mut out, tenant);
+                put_varint(&mut out, *budget);
+                put_varint(&mut out, *observed);
             }
             Frame::Shed {
                 tenant,
@@ -958,16 +1015,16 @@ impl Frame {
                 budget,
                 observed,
             } => {
-                body.put_u8(K_SHED);
-                put_string(&mut body, tenant);
-                put_budget_kind(&mut body, *kind);
-                put_varint(&mut body, *budget);
-                put_varint(&mut body, *observed);
+                out.put_u8(K_SHED);
+                put_string(&mut out, tenant);
+                put_budget_kind(&mut out, *kind);
+                put_varint(&mut out, *budget);
+                put_varint(&mut out, *observed);
             }
             Frame::Reject { code, detail } => {
-                body.put_u8(K_REJECT);
-                body.put_u8(code.wire_tag());
-                put_string(&mut body, detail);
+                out.put_u8(K_REJECT);
+                out.put_u8(code.wire_tag());
+                put_string(&mut out, detail);
             }
             Frame::Stats {
                 clock,
@@ -975,38 +1032,38 @@ impl Frame {
                 tenants,
                 shards,
             } => {
-                body.put_u8(K_STATS);
-                put_varint(&mut body, *clock);
-                put_varint(&mut body, *queued_bytes);
-                put_tenant_stats(&mut body, tenants);
-                put_shard_summaries(&mut body, shards);
+                out.put_u8(K_STATS);
+                put_varint(&mut out, *clock);
+                put_varint(&mut out, *queued_bytes);
+                put_tenant_stats(&mut out, tenants);
+                put_shard_summaries(&mut out, shards);
             }
             Frame::Ack { tenant, seq } => {
-                body.put_u8(K_ACK);
-                put_string(&mut body, tenant);
-                put_varint(&mut body, *seq);
+                out.put_u8(K_ACK);
+                put_string(&mut out, tenant);
+                put_varint(&mut out, *seq);
             }
             Frame::Goodbye => {
-                body.put_u8(K_GOODBYE);
+                out.put_u8(K_GOODBYE);
             }
             Frame::GoodbyeAck { drained } => {
-                body.put_u8(K_GOODBYE_ACK);
-                put_varint(&mut body, *drained);
+                out.put_u8(K_GOODBYE_ACK);
+                put_varint(&mut out, *drained);
             }
             Frame::Ping { nonce } => {
-                body.put_u8(K_PING);
-                put_varint(&mut body, *nonce);
+                out.put_u8(K_PING);
+                put_varint(&mut out, *nonce);
             }
             Frame::Pong { nonce } => {
-                body.put_u8(K_PONG);
-                put_varint(&mut body, *nonce);
+                out.put_u8(K_PONG);
+                put_varint(&mut out, *nonce);
             }
         }
-        let mut out = BytesMut::with_capacity(4 + body.len() + 4);
+        sum.write(&out[unsummed..]);
         #[allow(clippy::cast_possible_truncation)]
-        out.put_u32_le((body.len() + CHECKSUM_BYTES) as u32);
-        out.put_slice(&body);
-        out.put_u32_le(body_checksum(&body));
+        let len = (out.len() - LEN_BYTES + CHECKSUM_BYTES) as u32;
+        out[..LEN_BYTES].copy_from_slice(&len.to_le_bytes());
+        out.put_u32_le(sum.finish());
         out.freeze()
     }
 
@@ -1019,34 +1076,41 @@ impl Frame {
     ///
     /// Any [`FrameError`]; never panics, whatever the input bytes.
     pub fn decode(blob: &[u8]) -> Result<Frame, FrameError> {
-        let mut buf = Bytes::copy_from_slice(blob);
-        if buf.remaining() < 4 {
+        let Some((prefix, sealed)) = blob.split_first_chunk::<LEN_BYTES>() else {
             return Err(FrameError::Truncated);
-        }
-        let len = buf.get_u32_le();
+        };
+        let len = u32::from_le_bytes(*prefix);
         if len > MAX_FRAME_BYTES {
             return Err(FrameError::Oversized(len));
         }
-        if (buf.remaining() as u64) < u64::from(len) {
+        if (sealed.len() as u64) < u64::from(len) {
             return Err(FrameError::Truncated);
         }
-        if buf.remaining() as u64 > u64::from(len) {
+        if sealed.len() as u64 > u64::from(len) {
             return Err(FrameError::BadPayload("trailing bytes after frame"));
         }
-        // The declared length covers the body plus the checksum
-        // trailer; the smallest frame is one kind byte plus the
-        // trailer.
-        if (len as usize) < 1 + CHECKSUM_BYTES {
-            return Err(FrameError::Truncated);
-        }
-        let mut body = buf.copy_to_bytes(buf.remaining() - CHECKSUM_BYTES);
-        let got = buf.get_u32_le();
-        let want = body_checksum(&body);
-        if want != got {
-            return Err(FrameError::Damaged { want, got });
-        }
-        decode_body(&mut body)
+        open_sealed(Bytes::copy_from_slice(sealed))
     }
+}
+
+/// Bytes of length prefix in front of every frame.
+const LEN_BYTES: usize = 4;
+
+/// Checks a complete frame's checksum and decodes its body in place.
+/// `sealed` is everything after the length prefix: body and trailer.
+fn open_sealed(mut sealed: Bytes) -> Result<Frame, FrameError> {
+    // The smallest frame is one kind byte plus the trailer.
+    if sealed.len() < 1 + CHECKSUM_BYTES {
+        return Err(FrameError::Truncated);
+    }
+    let body_len = sealed.len() - CHECKSUM_BYTES;
+    let got = u32::from_le_bytes(sealed[body_len..].try_into().expect("four trailer bytes"));
+    sealed.truncate(body_len);
+    let want = body_checksum(&sealed);
+    if want != got {
+        return Err(FrameError::Damaged { want, got });
+    }
+    decode_body(&mut sealed)
 }
 
 /// Bytes of checksum trailer at the end of every frame, covered by the
@@ -1241,19 +1305,20 @@ fn decode_body(buf: &mut Bytes) -> Result<Frame, FrameError> {
 ///
 /// Any [`FrameError`] from the complete frame at the buffer's head.
 pub fn decode_stream(buf: &mut BytesMut) -> Result<Option<Frame>, FrameError> {
-    if buf.len() < 4 {
+    let Some(prefix) = buf.first_chunk::<LEN_BYTES>() else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
+    };
+    let len = u32::from_le_bytes(*prefix);
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::Oversized(len));
     }
-    let total = 4 + len as usize;
+    let total = LEN_BYTES + len as usize;
     if buf.len() < total {
         return Ok(None);
     }
-    let frame_bytes = buf.split_to(total);
-    Frame::decode(&frame_bytes).map(Some)
+    let mut sealed = buf.split_to(total).freeze();
+    sealed.advance(LEN_BYTES);
+    open_sealed(sealed).map(Some)
 }
 
 #[cfg(test)]
@@ -1435,6 +1500,30 @@ mod tests {
             }
         }
         assert_eq!(decoded, frames);
+        assert!(inbox.is_empty());
+    }
+
+    #[test]
+    fn queued_frames_drain_in_order_and_a_torn_tail_completes() {
+        // A backlog of 1,000 frames of every kind, plus the first half
+        // of one more: each comes out whole and in order, the torn one
+        // waits, and it completes once its rest arrives.
+        let kinds = sample_frames();
+        let queued: Vec<Frame> = kinds.iter().cycle().take(1_000).cloned().collect();
+        let mut inbox = BytesMut::new();
+        for f in &queued {
+            inbox.extend_from_slice(&f.encode());
+        }
+        let torn = kinds[4].encode();
+        let (head, rest) = torn.split_at(torn.len() / 2);
+        inbox.extend_from_slice(head);
+        for want in &queued {
+            assert_eq!(decode_stream(&mut inbox), Ok(Some(want.clone())));
+        }
+        assert_eq!(decode_stream(&mut inbox), Ok(None));
+        assert_eq!(&inbox[..], head);
+        inbox.extend_from_slice(rest);
+        assert_eq!(decode_stream(&mut inbox), Ok(Some(kinds[4].clone())));
         assert!(inbox.is_empty());
     }
 

@@ -205,10 +205,20 @@ impl<S: Storage> FaultyStorage<S> {
         &mut self.inner
     }
 
-    /// Unwraps the storage (e.g. to `crash()` a [`MemStorage`] and
+    /// Unwraps the storage (e.g. to `crash()` a [`crate::MemStorage`] and
     /// reopen it clean).
     pub fn into_inner(self) -> S {
         self.inner
+    }
+
+    /// Where a torn write stops: a seeded cut strictly inside `data`,
+    /// drawn from the plan only when there is data to cut.
+    fn torn_cut(&mut self, data: &[u8]) -> usize {
+        if data.is_empty() {
+            0
+        } else {
+            (self.plan.roll.rng.next_u64() as usize) % data.len()
+        }
     }
 
     /// Charges one mutating op against the kill point. Returns `true`
@@ -258,7 +268,7 @@ impl<S: Storage> Storage for FaultyStorage<S> {
             // The process dies mid-append: a seeded prefix of the data
             // is in the page cache / on the platter, the rest is gone.
             if !data.is_empty() {
-                let cut = (self.plan.roll.rng.next_u64() as usize) % data.len();
+                let cut = self.torn_cut(data);
                 let _ = self.inner.append(name, &data[..cut]);
             }
             return Err(StorageError::Killed);
@@ -269,23 +279,14 @@ impl<S: Storage> Storage for FaultyStorage<S> {
             StoreFault::NoSpace,
             StoreFault::SlowIo,
         ]) {
-            Some(StoreFault::Torn) => {
-                let written = if data.is_empty() {
-                    0
-                } else {
-                    (self.plan.roll.rng.next_u64() as usize) % data.len()
-                };
+            Some(fault @ (StoreFault::Torn | StoreFault::NoSpace)) => {
+                let written = self.torn_cut(data);
                 self.inner.append(name, &data[..written])?;
-                Err(StorageError::Torn { written })
-            }
-            Some(StoreFault::NoSpace) => {
-                let written = if data.is_empty() {
-                    0
+                Err(if fault == StoreFault::Torn {
+                    StorageError::Torn { written }
                 } else {
-                    (self.plan.roll.rng.next_u64() as usize) % data.len()
-                };
-                self.inner.append(name, &data[..written])?;
-                Err(StorageError::NoSpace { written })
+                    StorageError::NoSpace { written }
+                })
             }
             Some(StoreFault::BitRot) => {
                 // The write "succeeds"; one bit is silently wrong on

@@ -79,12 +79,26 @@ pub fn put_varint(out: &mut BytesMut, mut v: u64) {
 /// [`CodecError::Overlong`] when the encoding exceeds ten bytes.
 #[inline]
 pub fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
+    let mut rest: &[u8] = buf;
+    let v = take_varint(&mut rest);
+    let read = buf.len() - rest.len();
+    buf.advance(read);
+    v
+}
+
+/// Takes a varint written by [`put_varint`] off the front of a byte
+/// slice: [`get_varint`] for decoders that walk a body as a plain
+/// slice.
+///
+/// # Errors
+///
+/// As [`get_varint`].
+#[inline(always)]
+pub fn take_varint(s: &mut &[u8]) -> Result<u64, CodecError> {
     let mut v = 0u64;
     for shift in (0..64).step_by(7) {
-        if !buf.has_remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let byte = buf.get_u8();
+        let (&byte, rest) = s.split_first().ok_or(CodecError::Truncated)?;
+        *s = rest;
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);

@@ -34,12 +34,49 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// FNV-1a 32-bit hash over a byte slice — the `HDSW` wire checksum.
 #[must_use]
 pub fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h = FNV32_OFFSET;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(FNV32_PRIME);
+    let mut h = Fnv1a32::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Running FNV-1a 32-bit state, for a writer that checksums bytes in
+/// the same pass that produces them: folding byte by byte, in any
+/// split, ends at [`fnv1a32`] of the whole run.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a32(u32);
+
+impl Default for Fnv1a32 {
+    fn default() -> Self {
+        Self::new()
     }
-    h
+}
+
+impl Fnv1a32 {
+    /// Starts from the FNV-1a offset basis.
+    #[must_use]
+    pub const fn new() -> Self {
+        Fnv1a32(FNV32_OFFSET)
+    }
+
+    /// Folds in one byte.
+    #[inline]
+    pub fn write_u8(&mut self, b: u8) {
+        self.0 = (self.0 ^ u32::from(b)).wrapping_mul(FNV32_PRIME);
+    }
+
+    /// Folds in a byte run.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u8(b);
+        }
+    }
+
+    /// The hash of everything folded in so far.
+    #[must_use]
+    pub const fn finish(self) -> u32 {
+        self.0
+    }
 }
 
 /// The splitmix64 finalizer: full avalanche over a 64-bit word.
@@ -189,6 +226,23 @@ mod tests {
                 h2.write_bytes(&s[..mid]);
                 h2.write_bytes(&s[mid..]);
                 assert_eq!(h2.finish(), fnv1a64(&s));
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_fnv1a32_equals_one_shot() {
+        for s in samples() {
+            let mut bytewise = Fnv1a32::new();
+            for &b in &s {
+                bytewise.write_u8(b);
+            }
+            assert_eq!(bytewise.finish(), fnv1a32(&s));
+            for cut in [0, s.len() / 3, s.len()] {
+                let mut split = Fnv1a32::default();
+                split.write(&s[..cut]);
+                split.write(&s[cut..]);
+                assert_eq!(split.finish(), reference_fnv1a32(&s));
             }
         }
     }
