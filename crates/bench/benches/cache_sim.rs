@@ -56,6 +56,24 @@ fn bench(c: &mut Criterion) {
             mem.stats().prefetches_useful
         });
     });
+    // Redundant prefetches: every issue targets a block already in L1,
+    // as most of a stream-tail run's issues do, so each one is a probe
+    // that hits and nothing more.
+    let resident = addresses(50_000, 256);
+    group.bench_function("redundant_l1", |b| {
+        b.iter(|| {
+            let mut mem = MemorySystem::new(HierarchyConfig::pentium_iii());
+            for block in 0..256 {
+                mem.access(Addr(block * 32), AccessKind::Load);
+            }
+            let mut now = 0u64;
+            for &a in &resident {
+                now += 1;
+                now += mem.prefetch_at(a, now);
+            }
+            mem.stats().l1_misses
+        });
+    });
     // A stream tail: a burst of 16 prefetches, then the accesses that
     // use them, so every access probes a populated in-flight table and
     // the burst lands piecemeal as the accesses advance the clock.

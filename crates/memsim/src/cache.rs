@@ -176,10 +176,22 @@ impl Cache {
     }
 
     /// Index into `lines` of the resident line holding `block`.
+    ///
+    /// Compares every resident way with no early exit, so where the
+    /// block sits never steers a branch and hit or miss is the probe's
+    /// only data-dependent one. Blocks are unique within a set (every
+    /// fill probes first or is known absent, and `restore_state`
+    /// rejects duplicates), so at most one way matches.
     fn find(&self, block: u64) -> Option<usize> {
         let set = self.set_of(block);
-        let way = self.ways(set).iter().position(|l| l.block == block)?;
-        Some(set * self.config.assoc as usize + way)
+        let ways = self.ways(set);
+        let mut hit = ways.len();
+        for (way, line) in ways.iter().enumerate() {
+            if line.block == block {
+                hit = way;
+            }
+        }
+        (hit < ways.len()).then(|| set * self.config.assoc as usize + hit)
     }
 
     /// Probes and touches the block containing `addr`. Returns `true` on
@@ -220,6 +232,29 @@ impl Cache {
     /// Returns what was evicted.
     pub(crate) fn fill_tracked(&mut self, addr: Addr, prefetched: bool) -> Evicted {
         let block = self.block_of(addr);
+        let Some(i) = self.find(block) else {
+            return self.fill_absent(addr, prefetched);
+        };
+        // Already resident: refresh (a prefetch of a resident block
+        // must not reset its used flag).
+        self.tick += 1;
+        self.lines[i].lru = self.tick;
+        Evicted {
+            kind: EvictedKind::None,
+            dirty: false,
+            block,
+        }
+    }
+
+    /// [`Cache::fill_tracked`] for a block the caller knows is not
+    /// resident (the access just missed this level), without probing
+    /// for it again.
+    pub(crate) fn fill_absent(&mut self, addr: Addr, prefetched: bool) -> Evicted {
+        let block = self.block_of(addr);
+        debug_assert!(
+            self.find(block).is_none(),
+            "fill_absent of resident block {block}"
+        );
         self.tick += 1;
         let tick = self.tick;
         let none = Evicted {
@@ -227,12 +262,6 @@ impl Cache {
             dirty: false,
             block,
         };
-        if let Some(i) = self.find(block) {
-            // Already resident: refresh (a prefetch of a resident block
-            // must not reset its used flag).
-            self.lines[i].lru = tick;
-            return none;
-        }
         let assoc = self.config.assoc as usize;
         if self.lines.is_empty() {
             self.lines = vec![LineState::default(); self.filled.len() * assoc];

@@ -5,7 +5,9 @@ use std::fmt;
 
 use hds_trace::{AccessKind, Addr};
 
-use crate::cache::{Cache, CacheConfig, CacheState, EvictedKind, StateError, StateProblem};
+use crate::cache::{
+    Cache, CacheConfig, CacheState, Evicted, EvictedKind, StateError, StateProblem,
+};
 use crate::cost::CostModel;
 
 /// Geometry and timing of the full hierarchy.
@@ -302,7 +304,7 @@ impl MemorySystem {
         self.stats.l1_misses += 1;
         if self.l2.access(addr) {
             self.stats.l2_hits += 1;
-            self.fill_l1(addr, false, now);
+            self.fill_l1_absent(addr, false, now);
             self.mark_if_store(addr, kind);
             let cycles = cost.l2_total_cycles();
             self.stats.demand_cycles += cycles;
@@ -312,7 +314,8 @@ impl MemorySystem {
             };
         }
         self.stats.l2_misses += 1;
-        self.fill_both(addr, false, now);
+        self.fill_l1_absent(addr, false, now);
+        let _ = self.l2.fill_absent(addr, false);
         self.mark_if_store(addr, kind);
         let cycles = cost.full_miss_cycles();
         self.stats.demand_cycles += cycles;
@@ -366,7 +369,7 @@ impl MemorySystem {
         }
         if self.l2.contains(addr) {
             // L2 hit: promotion to L1 is fast; model as immediate.
-            self.fill_l1(addr, true, now);
+            self.fill_l1_absent(addr, true, now);
             return cost.prefetch_issue_cycles;
         }
         let done = *self
@@ -433,8 +436,24 @@ impl MemorySystem {
         }
     }
 
+    /// Fills L1 with a block that may already be resident (a landing
+    /// or late prefetch, or [`MemorySystem::install_l1`]).
     fn fill_l1(&mut self, addr: Addr, prefetched: bool, now: u64) {
         let evicted = self.l1.fill_tracked(addr, prefetched);
+        self.l1_victim(evicted, now);
+    }
+
+    /// Fills L1 with a block the caller just probed L1 for and missed,
+    /// without probing again.
+    fn fill_l1_absent(&mut self, addr: Addr, prefetched: bool, now: u64) {
+        let evicted = self.l1.fill_absent(addr, prefetched);
+        self.l1_victim(evicted, now);
+    }
+
+    /// Accounts what an L1 fill displaced: an unused prefetched line is
+    /// pollution (resolving its tracked prefetch), a dirty one a
+    /// write-back.
+    fn l1_victim(&mut self, evicted: Evicted, now: u64) {
         if evicted.kind == EvictedKind::UnusedPrefetch {
             self.stats.prefetches_polluting += 1;
             self.resolve(evicted.block, PrefetchFate::Polluted, now);
