@@ -14,7 +14,7 @@ use hds_telemetry::{events as tev, NullObserver, Observer};
 use hds_trace::{DataRef, SymbolTable, TraceBuffer};
 #[cfg(test)]
 use hds_vulcan::ProgramSource;
-use hds_vulcan::{EditJournal, Event, FrameTracker, Image, Procedure};
+use hds_vulcan::{EditJournal, Event, ExitMismatch, FrameTracker, Image, Procedure};
 
 use crate::config::{
     AnalysisConcurrency, CycleStrategy, OptimizerConfig, PrefetchPolicy, PrefetchScheduling,
@@ -27,6 +27,60 @@ use crate::pipeline::{
 use crate::report::{CostBreakdown, CycleStats, RunReport, WorkerStats};
 use crate::snapshot::{config_fingerprint, BgState, PendingState, SessionState, Snapshot};
 use crate::SnapshotError;
+
+/// Threads a session keeps call stacks for: an [`Event::Thread`] id at
+/// or above this bound makes the stream malformed. The
+/// [`Interleaver`](hds_vulcan::Interleaver) numbers its programs'
+/// threads from zero.
+pub const MAX_THREADS: u32 = 1024;
+
+/// An event [`Session::on_event`] refused because the stream is
+/// malformed; the session consumes nothing after it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MalformedEvent {
+    /// Position of the event in the stream: the events accepted before
+    /// it, which is also [`Session::events_consumed`] afterwards.
+    pub index: u64,
+    /// The refused event.
+    pub event: Event,
+    /// What is wrong with it.
+    pub problem: EventProblem,
+}
+
+/// Why an event makes a stream malformed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EventProblem {
+    /// An `Exit` that does not match the thread's innermost activation.
+    UnmatchedExit(ExitMismatch),
+    /// A `Thread` id at or above [`MAX_THREADS`].
+    ThreadOutOfRange,
+}
+
+impl std::fmt::Display for MalformedEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "event {} ({:?}): ", self.index, self.event)?;
+        match self.problem {
+            EventProblem::UnmatchedExit(mismatch) => write!(f, "{mismatch}"),
+            EventProblem::ThreadOutOfRange => {
+                write!(f, "thread id at or above the bound of {MAX_THREADS}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MalformedEvent {}
+
+/// Marks the session stopped on a malformed `event`, which
+/// [`Session::on_event`] has counted but not accepted.
+#[cold]
+fn refuse(st: &mut RunState, event: Event, problem: EventProblem) {
+    st.events_consumed -= 1;
+    st.malformed = Some(MalformedEvent {
+        index: st.events_consumed,
+        event,
+        problem,
+    });
+}
 
 /// All mutable state of a run.
 #[derive(Debug)]
@@ -67,6 +121,9 @@ struct RunState {
     /// and consumes no further events until the supervisor restarts it
     /// from its last snapshot.
     crashed: bool,
+    /// Set by the first event [`Session::on_event`] refused: the stream
+    /// is malformed and the session consumes no further events.
+    malformed: Option<MalformedEvent>,
     /// Workload events fully accepted by [`Session::on_event`] — the
     /// resume cursor a snapshot records.
     events_consumed: u64,
@@ -82,8 +139,11 @@ struct RunState {
     journal: EditJournal<usize>,
     /// The most recent phase-boundary snapshot (checkpointing only).
     latest_snapshot: Option<Snapshot>,
-    /// Whether phase boundaries capture snapshots.
-    checkpoints: bool,
+    /// The config fingerprint every phase-boundary snapshot carries,
+    /// computed once when checkpointing is turned on (config and mode
+    /// never change within a session); `None` when boundaries capture
+    /// nothing.
+    checkpoints: Option<u64>,
     /// How to reconstruct the DFSM from `installed` on resume:
     /// 0 = none, 1 = full build, 2 = accuracy-rebuild over survivors.
     dfsm_rebuild: u8,
@@ -220,12 +280,13 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
             partial_deopts: 0,
             bg,
             crashed: false,
+            malformed: None,
             events_consumed: 0,
             snapshots: 0,
             restarts: 0,
             journal: EditJournal::new(),
             latest_snapshot: None,
-            checkpoints: false,
+            checkpoints: None,
             dfsm_rebuild: 0,
             online,
         };
@@ -278,7 +339,7 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
     /// captures a versioned, checksummed [`Snapshot`] of the full
     /// optimizer state, retrievable with [`Session::latest_snapshot`].
     pub fn enable_checkpoints(&mut self) {
-        self.st.checkpoints = true;
+        self.st.checkpoints = Some(config_fingerprint(&self.config, self.mode));
     }
 
     /// Whether an injected crash has killed this session. A crashed
@@ -287,6 +348,13 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
     #[must_use]
     pub fn crashed(&self) -> bool {
         self.st.crashed
+    }
+
+    /// The event that showed the stream malformed, if one did. Such a
+    /// session consumes no further events (see [`Session::on_event`]).
+    #[must_use]
+    pub fn malformed(&self) -> Option<&MalformedEvent> {
+        self.st.malformed.as_ref()
     }
 
     /// Workload events fully accepted so far — the resume cursor.
@@ -518,12 +586,13 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
             partial_deopts: state.partial_deopts,
             bg,
             crashed: false,
+            malformed: None,
             events_consumed: state.events_consumed,
             snapshots: state.snapshots,
             restarts: 0,
             journal: EditJournal::new(),
             latest_snapshot: Some(snapshot.clone()),
-            checkpoints: true,
+            checkpoints: Some(expected),
             dfsm_rebuild: state.dfsm_rebuild,
             online,
         };
@@ -565,8 +634,14 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
     /// A crashed session (see [`Session::crashed`]) ignores further
     /// events: the process is dead, and recovery goes through the
     /// supervisor and [`Session::resume_from`].
+    ///
+    /// A malformed stream stops the session the same way: an `Exit`
+    /// that does not match the thread's innermost activation, or a
+    /// `Thread` id at or above [`MAX_THREADS`], is refused, and
+    /// [`Session::malformed`] names it. The session then ignores every
+    /// further event; [`Session::finish`] reports the events before it.
     pub fn on_event(&mut self, event: Event) {
-        if self.st.crashed {
+        if self.st.crashed || self.st.malformed.is_some() {
             return;
         }
         self.st.events_consumed += 1;
@@ -582,7 +657,11 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
                 st.frames[st.active_thread].enter(p, st.image.epoch());
                 do_check(&self.config, self.mode, st, &mut self.obs, &mut self.faults);
             }
-            Event::Exit(p) => st.frames[st.active_thread].exit(p),
+            Event::Exit(p) => {
+                if let Err(mismatch) = st.frames[st.active_thread].exit(p) {
+                    refuse(st, event, EventProblem::UnmatchedExit(mismatch));
+                }
+            }
             Event::BackEdge(_) => {
                 do_check(&self.config, self.mode, st, &mut self.obs, &mut self.faults);
             }
@@ -609,6 +688,10 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
                 // matcher state and profiling counters stay global
                 // (the injected code uses process-global variables,
                 // exactly as in Figure 7).
+                if t >= MAX_THREADS {
+                    refuse(st, event, EventProblem::ThreadOutOfRange);
+                    return;
+                }
                 let t = t as usize;
                 while st.frames.len() <= t {
                     st.frames.push(FrameTracker::new());
@@ -885,7 +968,7 @@ fn do_check<O: Observer, F: FaultInjector>(
                                     .with_args(st.cycle_stats.len() as u64, 0),
                             ));
                         }
-                        checkpoint(config, mode, st, obs, faults);
+                        checkpoint(st, obs, faults);
                     }
                     Some(Signal::HibernationComplete) => {
                         if config.strategy == CycleStrategy::Static && st.dfsm.is_some() {
@@ -907,7 +990,7 @@ fn do_check<O: Observer, F: FaultInjector>(
                                         .with_args(st.cycle_stats.len() as u64, 0),
                                 ));
                             }
-                            checkpoint(config, mode, st, obs, faults);
+                            checkpoint(st, obs, faults);
                         } else {
                             if O::ENABLED {
                                 obs.on(&tev::Event::Span(
@@ -970,7 +1053,7 @@ fn do_check<O: Observer, F: FaultInjector>(
                                         .with_args(st.cycle_stats.len() as u64, 0),
                                 ));
                             }
-                            checkpoint(config, mode, st, obs, faults);
+                            checkpoint(st, obs, faults);
                         }
                     }
                     None => {}
@@ -997,14 +1080,8 @@ fn phase_event(st: &RunState, to: tev::PhaseKind) -> tev::PhaseTransition {
 /// snapshot behind — each boundary is captured exactly once per
 /// supervised run, which is what makes `RecoverySnapshot` telemetry
 /// reconcile with [`RunReport::snapshots`](crate::RunReport).
-fn checkpoint<O: Observer, F: FaultInjector>(
-    config: &OptimizerConfig,
-    mode: RunMode,
-    st: &mut RunState,
-    obs: &mut O,
-    faults: &mut F,
-) {
-    if st.checkpoints {
+fn checkpoint<O: Observer, F: FaultInjector>(st: &mut RunState, obs: &mut O, faults: &mut F) {
+    if let Some(fingerprint) = st.checkpoints {
         // Boundaries sit between profiles: the trace buffer and grammar
         // are always empty here, which is why they need no encoding.
         debug_assert!(!st.buffer.in_burst());
@@ -1014,7 +1091,7 @@ fn checkpoint<O: Observer, F: FaultInjector>(
         // capture that ever happened on its timeline.
         st.snapshots += 1;
         let state = export_session_state(st, faults);
-        let snap = state.to_snapshot(config_fingerprint(config, mode));
+        let snap = state.to_snapshot(fingerprint);
         if O::ENABLED {
             obs.on(&tev::Event::RecoverySnapshot(tev::RecoverySnapshot {
                 opt_cycle: st.cycle_stats.len() as u64,
@@ -2050,6 +2127,7 @@ fn evaluate_accuracy<O: Observer, F: FaultInjector>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SessionBuilder;
     use hds_telemetry::events::{PrefetchFate, PROGRAM_STREAM};
     use hds_telemetry::MetricsRecorder;
     use hds_trace::{AccessKind, Addr, Pc};
@@ -2388,7 +2466,7 @@ mod tests {
     #[test]
     fn threaded_events_keep_per_thread_stacks() {
         // Two threads with deliberately clashing nesting: a single
-        // global frame tracker would panic on the interleaved exits.
+        // global frame tracker would refuse the interleaved exits.
         use hds_vulcan::{Interleaver, VecSource};
         let t0 = VecSource::new(
             "t0",
@@ -2423,6 +2501,37 @@ mod tests {
         );
         assert_eq!(report.refs, 2);
         assert_eq!(report.name, "interleaved");
+    }
+
+    #[test]
+    fn malformed_events_stop_the_session_and_name_the_event() {
+        let load = Event::Access(DataRef::new(Pc(16), Addr(0x100)), AccessKind::Load);
+        let build = || {
+            SessionBuilder::new(tiny_config())
+                .procedures(vec![Procedure::new("p0", vec![Pc(16)])])
+                .optimize(PrefetchPolicy::StreamTail)
+                .build()
+        };
+        let mut s = build();
+        for e in [Event::Enter(ProcId(0)), load, Event::Exit(ProcId(1)), load] {
+            s.on_event(e);
+        }
+        let malformed = *s.malformed().expect("mismatched exit refused");
+        assert_eq!(malformed.index, 2);
+        assert_eq!(s.events_consumed(), 2, "nothing at or after it is consumed");
+        assert!(!s.crashed());
+        assert_eq!(
+            malformed.to_string(),
+            "event 2 (Exit(ProcId(1))): exit of proc1 but current frame is proc0"
+        );
+        assert_eq!(s.finish("bad").refs, 1);
+
+        let mut s = build();
+        s.on_event(Event::Thread(MAX_THREADS - 1));
+        s.on_event(Event::Thread(MAX_THREADS));
+        let malformed = s.malformed().expect("thread past the bound refused");
+        assert_eq!(malformed.index, 1);
+        assert_eq!(malformed.problem, EventProblem::ThreadOutOfRange);
     }
 
     #[test]

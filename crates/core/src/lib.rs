@@ -65,7 +65,7 @@ pub use config::{
     AnalysisConcurrency, ConfigError, CycleStrategy, OptimizerConfig, PrefetchPolicy,
     PrefetchScheduling, RunMode,
 };
-pub use executor::Session;
+pub use executor::{EventProblem, MalformedEvent, Session, MAX_THREADS};
 pub use report::{CostBreakdown, CycleStats, RunReport, WorkerStats};
 pub use snapshot::{config_fingerprint, Snapshot, SnapshotError};
 

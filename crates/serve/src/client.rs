@@ -328,6 +328,12 @@ impl<T: Transport, O: Observer> ClientSession<T, O> {
     /// Appends a chunk to a tenant's stream; it is sent with the next
     /// sequence number once the window has room. `false` when the
     /// tenant is unknown or already finished.
+    ///
+    /// The client keeps every chunk, acknowledged or not, until the
+    /// session ends: a [`RejectCode::StoreFailed`] reject means the
+    /// server lost the tenant's state, and the client re-opens it and
+    /// replays the stream from sequence zero. A long-running stream
+    /// therefore holds its whole event history in client memory.
     pub fn push_chunk(&mut self, tenant: &str, events: Vec<Event>) -> bool {
         match self.flow_index(tenant) {
             Some(i) if !self.flows[i].done() => {
@@ -909,7 +915,8 @@ impl<T: Transport, O: Observer> ClientSession<T, O> {
             }
             RejectCode::ClientSentServerFrame
             | RejectCode::TenantAlreadyOpen
-            | RejectCode::Draining => Err(ClientError::Rejected {
+            | RejectCode::Draining
+            | RejectCode::MalformedStream => Err(ClientError::Rejected {
                 code,
                 detail: detail.to_string(),
             }),

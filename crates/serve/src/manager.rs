@@ -353,6 +353,12 @@ enum Note {
         report: Box<RunReport>,
         digest: u64,
     },
+    /// The tenant's stream proved malformed and the shard dropped it;
+    /// `detail` names the event and what is wrong with it.
+    Malformed {
+        tenant: String,
+        detail: String,
+    },
     /// The settled cold state of an exported tenant — exactly what a
     /// spill would have written, carried back to the control plane so
     /// it can answer with a [`Frame::Exported`] record.
@@ -700,6 +706,17 @@ impl<O: Observer> SessionManager<O> {
             queued_bytes: self.global_queued_bytes,
             tenants,
             shards,
+        }
+    }
+
+    /// Tombstones the tenant's durable record, if the store holds one.
+    /// Best effort: a failure counts a store fault and leaves garbage
+    /// for expiry.
+    fn drop_durable(&mut self, tenant: &str) {
+        if let Some(store) = self.store.as_mut() {
+            if store.contains(tenant) && store.remove(tenant, self.clock).is_err() {
+                self.count_store_fault(tenant_key(tenant), 0);
+            }
         }
     }
 
@@ -1420,13 +1437,8 @@ impl<O: Observer> SessionManager<O> {
         }
         let shard = ctrl.shard;
         // A flushed tenant's durable state is dead weight: tombstone it
-        // so compaction (and TTL bookkeeping) reclaims the space. Best
-        // effort — a failure just leaves garbage for expiry.
-        if let Some(store) = self.store.as_mut() {
-            if store.contains(&tenant) && store.remove(&tenant, self.clock).is_err() {
-                self.count_store_fault(key, 0);
-            }
-        }
+        // so compaction (and TTL bookkeeping) reclaims the space.
+        self.drop_durable(&tenant);
         self.shards[shard as usize]
             .mailbox
             .push(ShardMsg::Flush { tenant });
@@ -1590,6 +1602,21 @@ impl<O: Observer> SessionManager<O> {
                             image_digest: digest,
                         });
                     }
+                    Note::Malformed { tenant, detail } => {
+                        // The shard dropped the tenant; forget it here
+                        // too, durable state included, so the name can
+                        // open afresh.
+                        if self.tenants.remove(&tenant).is_some_and(|c| c.live) {
+                            self.live_count -= 1;
+                        }
+                        self.drop_durable(&tenant);
+                        responses.extend(
+                            self.reject(
+                                RejectCode::MalformedStream,
+                                &format!("{tenant}: {detail}"),
+                            ),
+                        );
+                    }
                     Note::Exported {
                         tenant,
                         procedures,
@@ -1598,18 +1625,11 @@ impl<O: Observer> SessionManager<O> {
                         tail,
                         detach,
                     } => {
-                        let key = tenant_key(&tenant);
                         if detach {
                             // The tenant now lives elsewhere; stale
                             // durable state must not resurrect it here.
                             self.tenants.remove(&tenant);
-                            if let Some(store) = self.store.as_mut() {
-                                if store.contains(&tenant)
-                                    && store.remove(&tenant, self.clock).is_err()
-                                {
-                                    self.count_store_fault(key, 0);
-                                }
-                            }
+                            self.drop_durable(&tenant);
                         }
                         responses.push(Frame::Exported {
                             record: TenantRecord {
@@ -1859,6 +1879,12 @@ impl Shard {
                     }
                     let live = state.live.as_mut().expect("live after rehydration");
                     feed_chunk(live, &events);
+                    if let Some(malformed) = live.session.malformed() {
+                        // A malformed stream fails its own tenant only.
+                        let detail = malformed.to_string();
+                        self.sessions.remove(&tenant);
+                        self.notes.push(Note::Malformed { tenant, detail });
+                    }
                 }
                 ShardMsg::Flush { tenant } => {
                     if let Some(mut state) = self.sessions.remove(&tenant) {

@@ -117,11 +117,16 @@ pub enum RejectCode {
     /// (corrupt, torn, or unreadable record): the server discarded it
     /// and the tenant must reopen its session from scratch.
     StoreFailed,
+    /// The tenant's event stream is malformed (an `Exit` with no
+    /// matching activation, or a thread id past the session's bound):
+    /// the server dropped the tenant, and `detail` names the tenant and
+    /// the event. Resending the same stream fails the same way.
+    MalformedStream,
 }
 
 impl RejectCode {
     /// All codes, in wire-tag order.
-    pub const ALL: [RejectCode; 9] = [
+    pub const ALL: [RejectCode; 10] = [
         RejectCode::HandshakeRequired,
         RejectCode::AuthFailed,
         RejectCode::ClientSentServerFrame,
@@ -131,6 +136,7 @@ impl RejectCode {
         RejectCode::BadSequence,
         RejectCode::Draining,
         RejectCode::StoreFailed,
+        RejectCode::MalformedStream,
     ];
 
     /// The one-byte wire tag.
@@ -146,6 +152,7 @@ impl RejectCode {
             RejectCode::BadSequence => 6,
             RejectCode::Draining => 7,
             RejectCode::StoreFailed => 8,
+            RejectCode::MalformedStream => 9,
         }
     }
 
@@ -166,6 +173,7 @@ impl RejectCode {
             RejectCode::BadSequence => "bad_sequence",
             RejectCode::Draining => "draining",
             RejectCode::StoreFailed => "store_failed",
+            RejectCode::MalformedStream => "malformed_stream",
         }
     }
 }

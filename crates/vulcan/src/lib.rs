@@ -69,4 +69,4 @@ mod program;
 pub use image::{CopyState, EditError, EditReport, EditSession, Image, ImageState};
 pub use interleave::Interleaver;
 pub use journal::{EditJournal, JournalEntry};
-pub use program::{Event, FrameTracker, ProcId, Procedure, ProgramSource, VecSource};
+pub use program::{Event, ExitMismatch, FrameTracker, ProcId, Procedure, ProgramSource, VecSource};

@@ -140,8 +140,10 @@ impl ProgramSource for VecSource {
 /// assert_eq!(frames.current_epoch(), Some(0));
 /// frames.enter(ProcId(1), 3);      // nested call after a patch at epoch 3
 /// assert_eq!(frames.current_epoch(), Some(3));
-/// frames.exit(ProcId(1));
+/// assert_eq!(frames.exit(ProcId(1)), Ok(()));
 /// assert_eq!(frames.current_epoch(), Some(0));
+/// // An exit that does not match the innermost activation is reported.
+/// assert!(frames.exit(ProcId(7)).is_err());
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FrameTracker {
@@ -164,15 +166,21 @@ impl FrameTracker {
 
     /// Pops the current activation.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the stack is empty or the top frame is a different
-    /// procedure — the event stream is malformed.
-    pub fn exit(&mut self, proc: ProcId) {
-        match self.stack.pop() {
-            Some((top, _)) if top == proc => {}
-            Some((top, _)) => panic!("exit of {proc} but current frame is {top}"),
-            None => panic!("exit of {proc} with empty call stack"),
+    /// An [`ExitMismatch`], leaving the stack as it was, when the stack
+    /// is empty or the top frame is a different procedure — the event
+    /// stream is malformed.
+    pub fn exit(&mut self, proc: ProcId) -> Result<(), ExitMismatch> {
+        match self.stack.last() {
+            Some(&(top, _)) if top == proc => {
+                self.stack.pop();
+                Ok(())
+            }
+            top => Err(ExitMismatch {
+                exited: proc,
+                current: top.map(|&(p, _)| p),
+            }),
         }
     }
 
@@ -218,6 +226,27 @@ impl FrameTracker {
     }
 }
 
+/// An `Exit` event that does not match the innermost activation,
+/// reported by [`FrameTracker::exit`]: the event stream is malformed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExitMismatch {
+    /// The procedure the event exits.
+    pub exited: ProcId,
+    /// The innermost activation, or `None` when the stack is empty.
+    pub current: Option<ProcId>,
+}
+
+impl fmt::Display for ExitMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.current {
+            Some(top) => write!(f, "exit of {} but current frame is {top}", self.exited),
+            None => write!(f, "exit of {} with empty call stack", self.exited),
+        }
+    }
+}
+
+impl std::error::Error for ExitMismatch {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,27 +279,36 @@ mod tests {
         t.enter(ProcId(0), 2); // recursive re-entry after a patch
         assert_eq!(t.depth(), 3);
         assert_eq!(t.current_epoch(), Some(2));
-        t.exit(ProcId(0));
+        assert_eq!(t.exit(ProcId(0)), Ok(()));
         assert_eq!(t.current_epoch(), Some(0));
         assert_eq!(t.current_proc(), Some(ProcId(1)));
-        t.exit(ProcId(1));
-        t.exit(ProcId(0));
+        assert_eq!(t.exit(ProcId(1)), Ok(()));
+        assert_eq!(t.exit(ProcId(0)), Ok(()));
         assert_eq!(t.depth(), 0);
         assert_eq!(t.max_depth(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "empty call stack")]
-    fn exit_without_enter_panics() {
-        FrameTracker::new().exit(ProcId(0));
+    fn exit_without_enter_is_reported() {
+        let err = FrameTracker::new().exit(ProcId(0)).unwrap_err();
+        assert_eq!(
+            err,
+            ExitMismatch {
+                exited: ProcId(0),
+                current: None
+            }
+        );
+        assert_eq!(err.to_string(), "exit of proc0 with empty call stack");
     }
 
     #[test]
-    #[should_panic(expected = "current frame is")]
-    fn mismatched_exit_panics() {
+    fn mismatched_exit_is_reported_and_keeps_the_frame() {
         let mut t = FrameTracker::new();
         t.enter(ProcId(0), 0);
-        t.exit(ProcId(1));
+        let err = t.exit(ProcId(1)).unwrap_err();
+        assert_eq!(err.to_string(), "exit of proc1 but current frame is proc0");
+        assert_eq!(t.current_proc(), Some(ProcId(0)));
+        assert_eq!(t.exit(ProcId(0)), Ok(()));
     }
 
     #[test]
