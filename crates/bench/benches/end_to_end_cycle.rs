@@ -4,7 +4,9 @@
 //!
 //! This is the wall-clock cost of the *simulation*, which bounds
 //! experiment sizes (the simulated overheads are what the figure
-//! binaries report).
+//! binaries report). `dyn_pref_checkpointed` is `dyn_pref` capturing an
+//! `HDSSNAP2` snapshot at every phase boundary: its gap to `dyn_pref`
+//! is the capture cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hds_core::{OptimizerConfig, PrefetchPolicy, RunMode, SessionBuilder};
@@ -22,14 +24,20 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     let refs = workload().planned_refs();
     group.throughput(Throughput::Elements(refs));
-    for (name, mode) in [
-        ("baseline", RunMode::Baseline),
-        ("profile", RunMode::Profile),
-        ("analyze", RunMode::Analyze),
+    let dyn_pref = RunMode::Optimize(PrefetchPolicy::StreamTail);
+    for (name, mode, checkpoints) in [
+        ("baseline", RunMode::Baseline, false),
+        ("profile", RunMode::Profile, false),
+        ("analyze", RunMode::Analyze, false),
         // Injected checks and DFSM steps but no prefetches: its gap to
         // `analyze` is the per-reference injected-check lookup.
-        ("optimize_none", RunMode::Optimize(PrefetchPolicy::None)),
-        ("dyn_pref", RunMode::Optimize(PrefetchPolicy::StreamTail)),
+        (
+            "optimize_none",
+            RunMode::Optimize(PrefetchPolicy::None),
+            false,
+        ),
+        ("dyn_pref", dyn_pref, false),
+        ("dyn_pref_checkpointed", dyn_pref, true),
     ] {
         group.bench_with_input(BenchmarkId::new(name, refs), &mode, |b, &mode| {
             b.iter(|| {
@@ -37,11 +45,13 @@ fn bench(c: &mut Criterion) {
                 config.bursty = hds_bursty::BurstyConfig::new(1_350, 150, 4, 8);
                 let mut w = workload();
                 let procs = w.procedures();
-                SessionBuilder::new(config)
-                    .procedures(procs)
-                    .mode(mode)
-                    .run(&mut w)
-                    .total_cycles
+                let builder = SessionBuilder::new(config).procedures(procs);
+                let builder = if checkpoints {
+                    builder.checkpoints()
+                } else {
+                    builder
+                };
+                builder.mode(mode).run(&mut w).total_cycles
             });
         });
     }

@@ -7,7 +7,7 @@ use hds_bursty::{BurstyTracer, Mode, Phase, Signal};
 use hds_dfsm::{build as build_dfsm, BuildError, Dfsm, StateId};
 use hds_guard::{CrashPoint, FaultInjector, GuardRuntime, NoFaults, Trip};
 use hds_hotstream::fast;
-use hds_memsim::MemorySystem;
+use hds_memsim::{MemView, MemorySystem};
 use hds_sequitur::Sequitur;
 use hds_telemetry::events::GuardKind;
 use hds_telemetry::{events as tev, NullObserver, Observer};
@@ -383,7 +383,10 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
     /// build plus replay when no boundary had passed yet).
     #[must_use]
     pub fn take_latest_snapshot(&mut self) -> Option<Snapshot> {
-        self.st.latest_snapshot.take()
+        let mut snap = self.st.latest_snapshot.take()?;
+        // Its allocation is no longer recycled by the next capture.
+        snap.shrink_to_fit();
+        Some(snap)
     }
 
     /// A deterministic digest of the edited program image — the
@@ -466,6 +469,19 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
     ) -> Result<Self, SnapshotError> {
         let expected = config_fingerprint(&config, mode);
         let state = SessionState::from_snapshot(snapshot, expected)?;
+        // `on_event` indexes `frames` by `active_thread`.
+        let threads = state.frames.len();
+        if threads > MAX_THREADS as usize {
+            return Err(SnapshotError::Malformed(format!(
+                "frames: {threads} threads, more than the bound of {MAX_THREADS}"
+            )));
+        }
+        if state.active_thread >= threads {
+            return Err(SnapshotError::Malformed(format!(
+                "active_thread: thread {}, the snapshot has {threads}",
+                state.active_thread
+            )));
+        }
         let mut mem = MemorySystem::new(config.hierarchy.clone());
         mem.restore_state(&state.mem)
             .map_err(|e| SnapshotError::Malformed(format!("mem.{e}")))?;
@@ -487,6 +503,15 @@ impl<O: Observer, F: FaultInjector> Session<O, F> {
                 )))
             }
         };
+        // The matcher steps from `dfsm_state` on its next reference.
+        if let Some(states) = dfsm.as_ref().map(Dfsm::state_count) {
+            if state.dfsm_state as usize >= states {
+                return Err(SnapshotError::Malformed(format!(
+                    "dfsm_state: state {}, the machine has {states}",
+                    state.dfsm_state
+                )));
+            }
+        }
         let frames = state
             .frames
             .into_iter()
@@ -1090,8 +1115,12 @@ fn checkpoint<O: Observer, F: FaultInjector>(st: &mut RunState, obs: &mut O, fau
         // the snapshot in flight: a resumed session reports every
         // capture that ever happened on its timeline.
         st.snapshots += 1;
-        let state = export_session_state(st, faults);
-        let snap = state.to_snapshot(fingerprint);
+        // The retired snapshot's allocation takes the new one.
+        let buf = st
+            .latest_snapshot
+            .take()
+            .map_or_else(Vec::new, Snapshot::into_bytes);
+        let snap = capture_state(st, faults).write_snapshot(fingerprint, buf);
         if O::ENABLED {
             obs.on(&tev::Event::RecoverySnapshot(tev::RecoverySnapshot {
                 opt_cycle: st.cycle_stats.len() as u64,
@@ -1123,14 +1152,15 @@ pub(crate) const CRASH_MID_EDIT: u64 = 1;
 /// See [`CRASH_PHASE_BOUNDARY`].
 pub(crate) const CRASH_MID_HANDOFF: u64 = 2;
 
-/// Exports the full mutable run state for serialization. The
-/// fault-injector's in-simulation stream rides along so a resumed
-/// session re-draws exactly the faults the original would have.
-fn export_session_state<F: FaultInjector>(st: &RunState, faults: &F) -> SessionState {
+/// The full mutable run state as a capture writes it, the memory
+/// hierarchy borrowed in place. The fault-injector's in-simulation
+/// stream rides along so a resumed session re-draws exactly the faults
+/// the original would have.
+fn capture_state<'a, F: FaultInjector>(st: &'a RunState, faults: &F) -> SessionState<MemView<'a>> {
     SessionState {
         cycles: st.cycles,
         breakdown: st.breakdown,
-        mem: st.mem.export_state(),
+        mem: st.mem.view_state(),
         tracer: st.tracer.export_state(),
         image: st.image.export_state(),
         dfsm_state: st.dfsm_state.0,

@@ -6,8 +6,8 @@
 //! payload of the complete run state (memory hierarchy, bursty tracer,
 //! image patches, guard runtime, installed streams, background-analysis
 //! in-flight request, and every report counter). The payload is a
-//! sequence of LEB128 varints written with `hds_trace::codec`'s
-//! primitives, field by field in a fixed canonical order: sequences
+//! sequence of LEB128 varints (the encoding of `hds_trace::codec`'s
+//! `put_varint`), field by field in a fixed canonical order: sequences
 //! carry their length first, options a 0/1 tag, and flag sets are
 //! packed into one varint. Decoding verifies the magic, the format
 //! version, and the CRC *before* any field is read; it then bounds every
@@ -25,11 +25,13 @@
 
 use std::fmt;
 
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use hds_bursty::TracerState;
 use hds_guard::{AccuracyState, GuardState, StreamAccuracyState};
-use hds_memsim::{CacheState, LineState, MemState, MemStats, PrefetchFate, PrefetchResolution};
-use hds_trace::codec::{get_varint, put_varint, CodecError};
+use hds_memsim::{
+    Cache, CacheState, LineState, MemState, MemStats, MemView, PrefetchFate, PrefetchResolution,
+};
+use hds_trace::codec::{get_varint, CodecError};
 use hds_trace::{Addr, DataRef, Pc};
 use hds_vulcan::{CopyState, ImageState, ProcId};
 
@@ -185,6 +187,12 @@ impl Snapshot {
         self.bytes
     }
 
+    /// Drops the spare capacity a capture into a recycled buffer can
+    /// leave behind.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+    }
+
     /// Size of the blob in bytes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -283,13 +291,16 @@ pub(crate) struct BgState {
 }
 
 /// The complete serializable state of a run — the payload of a
-/// [`Snapshot`]. Field-for-field mirror of the executor's `RunState`
-/// (minus the rebuildable DFSM and the always-empty profile buffers).
+/// [`Snapshot`]: the executor's `RunState` minus the rebuildable DFSM
+/// and the always-empty profile buffers. Decoding yields the memory
+/// hierarchy as a [`MemState`]; a phase-boundary capture fills `mem`
+/// with a [`MemView`] of the live hierarchy instead, which writes the
+/// same bytes without copying the caches.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) struct SessionState {
+pub(crate) struct SessionState<M = MemState> {
     pub cycles: u64,
     pub breakdown: CostBreakdown,
-    pub mem: MemState,
+    pub mem: M,
     pub tracer: TracerState,
     pub image: ImageState<usize>,
     pub dfsm_state: u32,
@@ -322,11 +333,140 @@ pub(crate) struct SessionState {
 // Payload codec: every value is a run of LEB128 varints.
 // ---------------------------------------------------------------------------
 
-/// A value with a binary layout in the snapshot payload. `get` reads
-/// back exactly what `put` wrote and turns anything else into
+/// The longest LEB128 encoding of a `u64`.
+const MAX_VARINT: usize = 10;
+
+/// The payload encoder's one output buffer. Every value goes through
+/// [`Writer::run`], which checks capacity once for a run of values and
+/// writes them through a [`Cursor`]; a lone value is a run of one. The
+/// buffer's bytes stay initialized past the write position, so a
+/// varint is one fixed-width store.
+pub(crate) struct Writer {
+    buf: Vec<u8>,
+    pos: usize,
+}
+
+impl Writer {
+    /// An empty writer over `buf`'s allocation, whose bytes it
+    /// overwrites.
+    fn over(mut buf: Vec<u8>) -> Self {
+        buf.resize(buf.capacity(), 0);
+        Writer { buf, pos: 0 }
+    }
+
+    /// Writes a run of at most `max` bytes: one capacity check, then
+    /// `write` fills the run through a cursor.
+    #[inline(always)]
+    fn run(&mut self, max: usize, write: impl FnOnce(&mut Cursor<'_>)) {
+        if self.buf.len() - self.pos < max {
+            self.grow(max);
+        }
+        let mut cursor = Cursor {
+            buf: &mut self.buf,
+            pos: self.pos,
+        };
+        write(&mut cursor);
+        self.pos = cursor.pos;
+    }
+
+    #[cold]
+    fn grow(&mut self, max: usize) {
+        let len = (2 * self.buf.len()).max(self.pos + max);
+        self.buf.resize(len, 0);
+    }
+
+    /// Appends raw bytes.
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.run(bytes.len(), |c| {
+            c.buf[c.pos..][..bytes.len()].copy_from_slice(bytes);
+            c.pos += bytes.len();
+        });
+    }
+
+    /// Appends `v` as a LEB128 varint.
+    #[inline]
+    fn varint(&mut self, v: u64) {
+        self.run(MAX_VARINT, |c| c.varint(v));
+    }
+
+    /// The bytes written, in `buf`'s allocation.
+    fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.truncate(self.pos);
+        self.buf
+    }
+}
+
+/// The write position of a [`Writer::run`], held apart from the writer
+/// so that it stays in a register while the run is written: a store
+/// into the buffer cannot then alias it.
+pub(crate) struct Cursor<'a> {
+    buf: &'a mut [u8],
+    pos: usize,
+}
+
+impl Cursor<'_> {
+    /// Appends `v` as a LEB128 varint, byte for byte what
+    /// `hds_trace::codec::put_varint` writes, with no per-byte branch:
+    /// the low 56 bits spread into eight 7-bit groups, one store puts
+    /// them down, and the position moves past the encoding's length.
+    /// The bytes a store spills past the encoding are overwritten by
+    /// the next value or cut off by [`Writer::into_bytes`].
+    #[inline(always)]
+    fn varint(&mut self, v: u64) {
+        let groups = spread(v);
+        let out = &mut self.buf[self.pos..];
+        if v >> 56 == 0 {
+            // 8 × (length − 1): the byte of the highest non-zero
+            // group. Every byte below it carries the continuation bit.
+            let top = (63 - (groups | 1).leading_zeros()) & !7;
+            let more = 0x8080_8080_8080_8080 & ((1 << top) - 1);
+            out[..8].copy_from_slice(&(groups | more).to_le_bytes());
+            self.pos += top as usize / 8 + 1;
+        } else {
+            // The full-width path: eight continued groups, then the
+            // top eight bits as one byte, or two when bit 63 is set.
+            let high = v >> 56;
+            let tail = high | (high & 0x80) << 1;
+            let word = u128::from(groups | 0x8080_8080_8080_8080) | u128::from(tail) << 64;
+            out[..MAX_VARINT].copy_from_slice(&word.to_le_bytes()[..MAX_VARINT]);
+            self.pos += 9 + (high >> 7) as usize;
+        }
+    }
+
+    /// Appends a flag set as one varint, bit `i` holding flag `i`. A
+    /// set of fewer than eight flags is a varint of one byte, stored as
+    /// that byte.
+    #[inline(always)]
+    fn flags<const N: usize>(&mut self, flags: &[bool; N]) {
+        let bits = (0..N).fold(0, |bits, i| bits | u64::from(flags[i]) << i);
+        if N < 8 {
+            self.buf[self.pos] = bits as u8;
+            self.pos += 1;
+        } else {
+            self.varint(bits);
+        }
+    }
+}
+
+/// The low 56 bits of `v` as eight 7-bit groups, one per byte, low
+/// group first.
+#[inline(always)]
+fn spread(v: u64) -> u64 {
+    let v = (v & 0x0FFF_FFFF) | (v & 0x00FF_FFFF_F000_0000) << 4;
+    let v = (v & 0x0000_3FFF_0000_3FFF) | (v & 0x0FFF_C000_0FFF_C000) << 2;
+    (v & 0x007F_007F_007F_007F) | (v & 0x3F80_3F80_3F80_3F80) << 1
+}
+
+/// A value with a binary layout in the snapshot payload, written
+/// through the one [`Writer`].
+pub(crate) trait Put {
+    fn put(&self, w: &mut Writer);
+}
+
+/// A [`Put`] value the decoder reads back: `get` reads exactly what
+/// `put` wrote and turns anything else into
 /// [`SnapshotError::Malformed`].
-trait Field: Sized {
-    fn put(&self, out: &mut BytesMut);
+trait Field: Put + Sized {
     fn get(r: &mut Bytes) -> Result<Self, SnapshotError>;
 }
 
@@ -346,10 +486,13 @@ impl SnapshotError {
     }
 }
 
-impl Field for u64 {
-    fn put(&self, out: &mut BytesMut) {
-        put_varint(out, *self);
+impl Put for u64 {
+    fn put(&self, w: &mut Writer) {
+        w.varint(*self);
     }
+}
+
+impl Field for u64 {
     fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
         get_varint(r).map_err(|e| {
             malformed(match e {
@@ -364,10 +507,12 @@ impl Field for u64 {
 /// back.
 macro_rules! narrow_field {
     ($($t:ty),*) => {$(
-        impl Field for $t {
-            fn put(&self, out: &mut BytesMut) {
-                put_varint(out, *self as u64);
+        impl Put for $t {
+            fn put(&self, w: &mut Writer) {
+                w.varint(*self as u64);
             }
+        }
+        impl Field for $t {
             fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
                 let v = u64::get(r)?;
                 Self::try_from(v).map_err(|_| malformed(format!("{v} out of range")))
@@ -377,13 +522,29 @@ macro_rules! narrow_field {
 }
 narrow_field!(u8, u32, usize);
 
-impl<T: Field> Field for Vec<T> {
-    fn put(&self, out: &mut BytesMut) {
-        self.len().put(out);
+impl<T: Put + ?Sized> Put for &T {
+    fn put(&self, w: &mut Writer) {
+        (**self).put(w);
+    }
+}
+
+/// A sequence is its length, then its items.
+impl<T: Put> Put for [T] {
+    fn put(&self, w: &mut Writer) {
+        self.len().put(w);
         for item in self {
-            item.put(out);
+            item.put(w);
         }
     }
+}
+
+impl<T: Put> Put for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        self.as_slice().put(w);
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
     fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
         let n = usize::get(r)?;
         // Every element takes at least one byte, so a length the rest of
@@ -402,16 +563,19 @@ impl<T: Field> Field for Vec<T> {
     }
 }
 
-impl<T: Field> Field for Option<T> {
-    fn put(&self, out: &mut BytesMut) {
+impl<T: Put> Put for Option<T> {
+    fn put(&self, w: &mut Writer) {
         match self {
-            None => put_varint(out, 0),
+            None => w.varint(0),
             Some(v) => {
-                put_varint(out, 1);
-                v.put(out);
+                w.varint(1);
+                v.put(w);
             }
         }
     }
+}
+
+impl<T: Field> Field for Option<T> {
     fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
         match u64::get(r)? {
             0 => Ok(None),
@@ -421,33 +585,42 @@ impl<T: Field> Field for Option<T> {
     }
 }
 
-impl<A: Field, B: Field> Field for (A, B) {
-    fn put(&self, out: &mut BytesMut) {
-        self.0.put(out);
-        self.1.put(out);
+impl<A: Put, B: Put> Put for (A, B) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
     }
+}
+
+impl<A: Field, B: Field> Field for (A, B) {
     fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
         Ok((A::get(r)?, B::get(r)?))
     }
 }
 
-impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
-    fn put(&self, out: &mut BytesMut) {
-        self.0.put(out);
-        self.1.put(out);
-        self.2.put(out);
+impl<A: Put, B: Put, C: Put> Put for (A, B, C) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+        self.2.put(w);
     }
+}
+
+impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
     fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
         Ok((A::get(r)?, B::get(r)?, C::get(r)?))
     }
 }
 
-impl<const N: usize> Field for [u64; N] {
-    fn put(&self, out: &mut BytesMut) {
+impl<const N: usize> Put for [u64; N] {
+    fn put(&self, w: &mut Writer) {
         for v in self {
-            v.put(out);
+            w.varint(*v);
         }
     }
+}
+
+impl<const N: usize> Field for [u64; N] {
     fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
         let mut a = [0; N];
         for v in &mut a {
@@ -459,11 +632,13 @@ impl<const N: usize> Field for [u64; N] {
 
 /// A flag set is one varint, bit `i` holding flag `i`; bits past `N`
 /// are rejected.
-impl<const N: usize> Field for [bool; N] {
-    fn put(&self, out: &mut BytesMut) {
-        let bits = (0..N).fold(0u64, |bits, i| bits | (u64::from(self[i]) << i));
-        put_varint(out, bits);
+impl<const N: usize> Put for [bool; N] {
+    fn put(&self, w: &mut Writer) {
+        w.run(MAX_VARINT, |c| c.flags(self));
     }
+}
+
+impl<const N: usize> Field for [bool; N] {
     fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
         let bits = u64::get(r)?;
         if bits >> N != 0 {
@@ -473,12 +648,24 @@ impl<const N: usize> Field for [bool; N] {
     }
 }
 
-impl Field for LineState {
-    fn put(&self, out: &mut BytesMut) {
-        self.block.put(out);
-        self.lru.put(out);
-        [self.prefetched_unused, self.origin_prefetched, self.dirty].put(out);
+/// The most bytes one [`LineState`] takes.
+const LINE_MAX: usize = 3 * MAX_VARINT;
+
+impl Put for LineState {
+    fn put(&self, w: &mut Writer) {
+        w.run(LINE_MAX, |c| put_line(c, self));
     }
+}
+
+/// A line's layout: its block, its LRU stamp, then its flag set.
+#[inline(always)]
+fn put_line(c: &mut Cursor<'_>, line: &LineState) {
+    c.varint(line.block);
+    c.varint(line.lru);
+    c.flags(&[line.prefetched_unused, line.origin_prefetched, line.dirty]);
+}
+
+impl Field for LineState {
     fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
         let (block, lru) = Field::get(r)?;
         let [prefetched_unused, origin_prefetched, dirty] = Field::get(r)?;
@@ -492,15 +679,38 @@ impl Field for LineState {
     }
 }
 
-impl Field for PrefetchFate {
-    fn put(&self, out: &mut BytesMut) {
+/// A live cache writes the layout of the [`CacheState`] its
+/// `export_state` would return — the clock, then every set's resident
+/// lines — reading the lines from its sets in place. A set is one run:
+/// its line count, then its lines.
+impl Put for Cache {
+    fn put(&self, w: &mut Writer) {
+        w.varint(self.tick());
+        let sets = self.sets();
+        sets.len().put(w);
+        for lines in sets {
+            w.run(MAX_VARINT + lines.len() * LINE_MAX, |c| {
+                c.varint(lines.len() as u64);
+                for line in lines {
+                    put_line(c, line);
+                }
+            });
+        }
+    }
+}
+
+impl Put for PrefetchFate {
+    fn put(&self, w: &mut Writer) {
         let d = match self {
             PrefetchFate::Useful => 0,
             PrefetchFate::Late => 1,
             PrefetchFate::Polluted => 2,
         };
-        put_varint(out, d);
+        w.varint(d);
     }
+}
+
+impl Field for PrefetchFate {
     fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
         match u64::get(r)? {
             0 => Ok(PrefetchFate::Useful),
@@ -513,13 +723,13 @@ impl Field for PrefetchFate {
 
 /// Implements [`Field`] for structs as their listed fields in order
 /// (tuple structs list `0`). Each list is the canonical payload order;
-/// a decoding error is prefixed with the field it came from.
+/// a decoding error is prefixed with the field it came from. Types
+/// listed after the first, with the same field names, share the list
+/// for writing only: the borrowed views a capture writes from.
 macro_rules! record {
-    ($($ty:ty { $($f:tt),* })*) => {$(
+    ($($ty:ty $(, $view:ty)* { $($f:tt),* })*) => {$(
+        record!(@put [$ty $(, $view)*] { $($f),* });
         impl Field for $ty {
-            fn put(&self, out: &mut BytesMut) {
-                $(self.$f.put(out);)*
-            }
             fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
                 Ok(Self {
                     $($f: Field::get(r).map_err(|e: SnapshotError| e.within(stringify!($f)))?,)*
@@ -527,6 +737,16 @@ macro_rules! record {
             }
         }
     )*};
+    (@put [$($ty:ty),*] $fields:tt) => {$(
+        record!(@put_one $ty $fields);
+    )*};
+    (@put_one $ty:ty { $($f:tt),* }) => {
+        impl Put for $ty {
+            fn put(&self, w: &mut Writer) {
+                $(self.$f.put(w);)*
+            }
+        }
+    };
 }
 
 record! {
@@ -545,7 +765,7 @@ record! {
     }
     CacheState { tick, sets }
     PrefetchResolution { tag, block, fate, issued_at, resolved_at }
-    MemState { l1, l2, in_flight, pending, outcomes, stats }
+    MemState, MemView<'_> { l1, l2, in_flight, pending, outcomes, stats }
     TracerState {
         n_check_cur, n_instr_cur, n_check, n_instr, instrumented, hibernating, periods_in_phase,
         total_checks, total_bursts, awake_checks, phase_transitions
@@ -557,25 +777,39 @@ record! {
     GuardState { tripped, trips, accuracy }
     PendingState { handoff_at, ready_at, refs, denylist }
     BgState { handoffs, applied, starved, pending }
-    SessionState {
+    SessionState, SessionState<MemView<'_>> {
         cycles, breakdown, mem, tracer, image, dfsm_state, dfsm_rebuild, frames, active_thread,
         refs, checks, cycle_stats, pf_queue, guard, installed, partial_deopts, bg,
         events_consumed, snapshots, fault_state, online
     }
 }
 
+impl<M> SessionState<M>
+where
+    Self: Put,
+{
+    /// Serializes the state under the given config fingerprint into
+    /// `buf`'s allocation (a retired snapshot's bytes, say): the header
+    /// goes first with a zero CRC, the payload follows, and the CRC of
+    /// the payload is patched in, so no byte is written twice.
+    pub(crate) fn write_snapshot(&self, config_hash: u64, buf: Vec<u8>) -> Snapshot {
+        let mut w = Writer::over(buf);
+        w.bytes(MAGIC);
+        w.bytes(&[FORMAT_VERSION, 0, 0, 0, 0]);
+        config_hash.put(&mut w);
+        self.put(&mut w);
+        let mut bytes = w.into_bytes();
+        let crc = crc32(&bytes[HEADER_LEN..]);
+        bytes[MAGIC.len() + 1..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        Snapshot { bytes }
+    }
+}
+
 impl SessionState {
     /// Serializes the state under the given config fingerprint.
+    #[cfg(test)]
     pub(crate) fn to_snapshot(&self, config_hash: u64) -> Snapshot {
-        let mut payload = BytesMut::new();
-        config_hash.put(&mut payload);
-        self.put(&mut payload);
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.push(FORMAT_VERSION);
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        Snapshot { bytes }
+        self.write_snapshot(config_hash, Vec::new())
     }
 
     /// Decodes and validates a snapshot against the resuming session's
@@ -609,13 +843,24 @@ mod tests {
                 l1: CacheState {
                     tick: 9,
                     sets: vec![
-                        vec![LineState {
-                            block: 4,
-                            lru: 2,
-                            prefetched_unused: true,
-                            origin_prefetched: true,
-                            dirty: false,
-                        }],
+                        vec![
+                            LineState {
+                                block: 4,
+                                lru: 2,
+                                prefetched_unused: true,
+                                origin_prefetched: true,
+                                dirty: false,
+                            },
+                            // Block and stamp at or above 2^56 take the
+                            // writer's full-width path.
+                            LineState {
+                                block: 1 << 56,
+                                lru: u64::MAX,
+                                prefetched_unused: false,
+                                origin_prefetched: false,
+                                dirty: true,
+                            },
+                        ],
                         vec![],
                     ],
                 },
@@ -715,6 +960,74 @@ mod tests {
         let back = SessionState::from_snapshot(&snap, 42).unwrap();
         assert_eq!(back, state);
         assert_eq!(back.to_snapshot(42), snap, "re-encoding changed the bytes");
+    }
+
+    /// The writer's bytes for `vs`, one after another.
+    fn written(vs: &[u64]) -> Vec<u8> {
+        let mut w = Writer::over(Vec::new());
+        vs.iter().for_each(|&v| w.varint(v));
+        w.into_bytes()
+    }
+
+    /// `put_varint`'s bytes for `vs`, one after another.
+    fn reference(vs: &[u64]) -> Vec<u8> {
+        let mut out = bytes::BytesMut::new();
+        vs.iter()
+            .for_each(|&v| hds_trace::codec::put_varint(&mut out, v));
+        out.to_vec()
+    }
+
+    #[test]
+    fn writer_matches_put_varint_at_every_width_edge() {
+        for v in [0, 127, 128, (1 << 56) - 1, 1 << 56, 1 << 63, u64::MAX] {
+            assert_eq!(written(&[v]), reference(&[v]), "{v:#x}");
+        }
+        // Every length from one to ten bytes, back to back, so each
+        // store's spill is overwritten by the next value.
+        let edges: Vec<u64> = (0..64).flat_map(|b| [1 << b, (1 << b) - 1]).collect();
+        assert_eq!(written(&edges), reference(&edges));
+    }
+
+    #[test]
+    fn writer_reuses_an_allocation_and_grows_past_it() {
+        let values: Vec<u64> = (0..1_000).map(|i| i * 0x0123_4567).collect();
+        let first = written(&values);
+        let cap = first.capacity();
+        let mut w = Writer::over(first);
+        values.iter().for_each(|&v| w.varint(v));
+        let again = w.into_bytes();
+        assert_eq!(again.capacity(), cap, "the same allocation");
+        assert_eq!(again, reference(&values));
+        let mut w = Writer::over(vec![0xFF; 3]);
+        values.iter().for_each(|&v| w.varint(v));
+        assert_eq!(w.into_bytes(), reference(&values));
+    }
+
+    /// A live hierarchy with prefetches in flight, pending and resolved
+    /// writes the bytes of its own export.
+    #[test]
+    fn live_memory_writes_its_export() {
+        use hds_memsim::{HierarchyConfig, MemorySystem};
+        use hds_trace::AccessKind;
+
+        let mut m = MemorySystem::new(HierarchyConfig::tiny());
+        for i in 0..60u64 {
+            let addr = Addr((i % 17) * 64);
+            if i % 3 == 0 {
+                m.prefetch_tagged_at(addr, i * 10, (i % 4) as u32);
+            }
+            m.access_at(addr, AccessKind::Load, i * 10 + 5);
+        }
+        m.prefetch_tagged_at(Addr(0x4000), 601, 9);
+        m.prefetch_tagged_at(Addr(0x4400), 602, 9);
+        let view = m.view_state();
+        assert!(!view.in_flight.is_empty() && !view.pending.is_empty());
+        assert!(!view.outcomes.is_empty());
+        let mut live = Writer::over(Vec::new());
+        view.put(&mut live);
+        let mut exported = Writer::over(Vec::new());
+        m.export_state().put(&mut exported);
+        assert_eq!(live.into_bytes(), exported.into_bytes());
     }
 
     #[test]
@@ -818,13 +1131,27 @@ mod tests {
         Vec<hds_vulcan::Procedure>,
         Snapshot,
     ) {
-        use hds_vulcan::ProgramSource;
-        use hds_workloads::{SyntheticConfig, SyntheticWorkload, Workload};
-
         let mut config = OptimizerConfig::test_scale();
         config.concurrency = crate::AnalysisConcurrency::Background;
         config.guard =
             hds_guard::GuardConfig::default().with_accuracy(hds_guard::AccuracyConfig::new());
+        captured_under(config)
+    }
+
+    /// The last phase-boundary capture of a checkpointing Dyn-pref
+    /// session under `config` over a 40,000-reference synthetic
+    /// workload, with the config, mode and procedures that resume it.
+    fn captured_under(
+        config: OptimizerConfig,
+    ) -> (
+        OptimizerConfig,
+        RunMode,
+        Vec<hds_vulcan::Procedure>,
+        Snapshot,
+    ) {
+        use hds_vulcan::ProgramSource;
+        use hds_workloads::{SyntheticConfig, SyntheticWorkload, Workload};
+
         let mode = RunMode::Optimize(crate::PrefetchPolicy::StreamTail);
         let mut w = SyntheticWorkload::new(SyntheticConfig {
             total_refs: 40_000,
@@ -915,6 +1242,70 @@ mod tests {
         }
     }
 
+    /// A checksummed snapshot whose thread or matcher index does not fit
+    /// the tables it restores resumes as `Malformed` naming the field.
+    /// Resumed anyway, the first two would panic on their first event,
+    /// which indexes `frames[active_thread]`, and the third on the first
+    /// reference the matcher steps on from `dfsm_state`. The fourth
+    /// holds more threads than `on_event` ever lets a session track.
+    #[test]
+    fn forged_indices_are_malformed_on_resume() {
+        // Static operation keeps the code optimized at every later
+        // boundary, so the last capture carries a machine.
+        let mut config = OptimizerConfig::test_scale();
+        config.strategy = crate::CycleStrategy::Static;
+        let (config, mode, procedures, snap) = captured_under(config);
+        let fingerprint = config_fingerprint(&config, mode);
+        let state = SessionState::from_snapshot(&snap, fingerprint).unwrap();
+        assert_eq!(state.dfsm_rebuild, 1, "the capture carries a machine");
+        let states = crate::pipeline::machine_for(&state.installed, &config)
+            .unwrap()
+            .state_count();
+        let threads = state.frames.len();
+        let cases = [
+            (
+                format!("active_thread: thread {threads}, the snapshot has {threads}"),
+                SessionState {
+                    active_thread: threads,
+                    ..state.clone()
+                },
+            ),
+            (
+                "active_thread: thread 0, the snapshot has 0".to_string(),
+                SessionState {
+                    frames: Vec::new(),
+                    ..state.clone()
+                },
+            ),
+            (
+                format!("dfsm_state: state {states}, the machine has {states}"),
+                SessionState {
+                    dfsm_state: states as u32,
+                    ..state.clone()
+                },
+            ),
+            (
+                "frames: 1025 threads, more than the bound of 1024".to_string(),
+                SessionState {
+                    frames: vec![(Vec::new(), 0); 1025],
+                    ..state.clone()
+                },
+            ),
+        ];
+        for (want, forged) in cases {
+            let resumed = crate::SessionBuilder::new(config.clone())
+                .procedures(procedures.clone())
+                .checkpoints()
+                .mode(mode)
+                .resume(&forged.to_snapshot(fingerprint));
+            match resumed {
+                Err(SnapshotError::Malformed(got)) => assert_eq!(got, want),
+                Err(e) => panic!("{want}: expected Malformed, got {e}"),
+                Ok(_) => panic!("{want}: the forged snapshot resumed"),
+            }
+        }
+    }
+
     /// Checksummed payloads that break the layout are `Malformed` and
     /// name the field path: trailing bytes, lengths the rest of the
     /// payload cannot hold (refused before allocating), and out-of-range
@@ -923,15 +1314,15 @@ mod tests {
     fn malformed_payloads_name_the_offending_field() {
         let s = sample_state();
         // The config fingerprint, `cycles` and `breakdown`, then `tail`.
-        let payload = |tail: &dyn Fn(&mut BytesMut)| {
-            let mut p = BytesMut::new();
+        let payload = |tail: &dyn Fn(&mut Writer)| {
+            let mut p = Writer::over(Vec::new());
             42u64.put(&mut p);
             s.cycles.put(&mut p);
             s.breakdown.put(&mut p);
             tail(&mut p);
-            sealed(&p)
+            sealed(&p.into_bytes())
         };
-        let varints = |p: &mut BytesMut, vs: &[u64]| vs.iter().for_each(|&v| put_varint(p, v));
+        let varints = |p: &mut Writer, vs: &[u64]| vs.iter().for_each(|&v| p.varint(v));
         let mut cases = vec![(
             payload(&|p| {
                 s.mem.put(p);
@@ -976,6 +1367,19 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// Any `u64` — and any bit length, so both of the writer's
+        /// paths are hit often — encodes to `put_varint`'s bytes.
+        #[test]
+        fn writer_matches_put_varint(
+            raw in proptest::collection::vec(
+                (proptest::arbitrary::any::<u64>(), 0u32..64),
+                0..64,
+            ),
+        ) {
+            let vs: Vec<u64> = raw.iter().map(|&(v, shift)| v >> shift).collect();
+            proptest::prop_assert_eq!(written(&vs), reference(&vs));
+        }
+
         /// Arbitrary bytes, bare or behind the v2 magic, are a typed
         /// error and never a panic.
         #[test]

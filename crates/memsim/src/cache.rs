@@ -316,15 +316,26 @@ impl Cache {
         self.filled.iter().map(|&n| n as usize).sum()
     }
 
+    /// The LRU clock: the tick of the latest probe or fill.
+    #[must_use]
+    pub fn tick(&self) -> u64 {
+        self.tick
+    }
+
+    /// Every set's resident lines, in set order and each in residency
+    /// order, borrowed in place: the lines [`Cache::export_state`]
+    /// copies out.
+    pub fn sets(&self) -> impl ExactSizeIterator<Item = &[LineState]> + '_ {
+        (0..self.filled.len()).map(|set| self.ways(set))
+    }
+
     /// Exports the cache's complete state (per-set lines in residency
     /// order plus the LRU tick) — the checkpointing primitive.
     #[must_use]
     pub fn export_state(&self) -> CacheState {
         CacheState {
             tick: self.tick,
-            sets: (0..self.filled.len())
-                .map(|set| self.ways(set).to_vec())
-                .collect(),
+            sets: self.sets().map(<[LineState]>::to_vec).collect(),
         }
     }
 

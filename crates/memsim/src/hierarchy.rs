@@ -499,24 +499,41 @@ impl MemorySystem {
         self.pending.clear();
     }
 
-    /// Exports the hierarchy's complete mutable state in canonical
-    /// order (in-flight and pending maps sorted by block, outcome queue
-    /// in arrival order) — the checkpointing primitive.
+    /// The hierarchy's complete mutable state in canonical order,
+    /// with the two caches borrowed rather than copied: what
+    /// [`MemorySystem::export_state`] returns, for a caller that only
+    /// reads it.
     #[must_use]
-    pub fn export_state(&self) -> MemState {
+    pub fn view_state(&self) -> MemView<'_> {
         let mut pending: Vec<(u64, u32, u64)> = self
             .pending
             .iter()
             .map(|(&b, p)| (b, p.tag, p.issued_at))
             .collect();
         pending.sort_unstable();
-        MemState {
-            l1: self.l1.export_state(),
-            l2: self.l2.export_state(),
+        MemView {
+            l1: &self.l1,
+            l2: &self.l2,
             in_flight: self.in_flight.iter().map(|(&b, &t)| (b, t)).collect(),
             pending,
-            outcomes: self.outcomes.clone(),
+            outcomes: &self.outcomes,
             stats: self.stats,
+        }
+    }
+
+    /// Exports the hierarchy's complete mutable state in canonical
+    /// order (in-flight and pending maps sorted by block, outcome queue
+    /// in arrival order) — the checkpointing primitive.
+    #[must_use]
+    pub fn export_state(&self) -> MemState {
+        let view = self.view_state();
+        MemState {
+            l1: view.l1.export_state(),
+            l2: view.l2.export_state(),
+            in_flight: view.in_flight,
+            pending: view.pending,
+            outcomes: view.outcomes.to_vec(),
+            stats: view.stats,
         }
     }
 
@@ -562,6 +579,26 @@ impl MemorySystem {
         self.stats = state.stats;
         Ok(())
     }
+}
+
+/// A [`MemorySystem`]'s complete mutable state, borrowed: the fields
+/// of [`MemState`] in its order, with each cache left in place (read
+/// its lines with [`Cache::sets`] and its clock with [`Cache::tick`]).
+/// Produced by [`MemorySystem::view_state`].
+#[derive(Clone, Debug)]
+pub struct MemView<'a> {
+    /// First-level cache.
+    pub l1: &'a Cache,
+    /// Second-level cache.
+    pub l2: &'a Cache,
+    /// In-flight prefetches as `(block, completion_time)`, sorted.
+    pub in_flight: Vec<(u64, u64)>,
+    /// Tracked prefetches as `(block, tag, issued_at)`, sorted.
+    pub pending: Vec<(u64, u32, u64)>,
+    /// Resolved-but-undrained outcomes, in resolution order.
+    pub outcomes: &'a [PrefetchResolution],
+    /// Accumulated statistics.
+    pub stats: MemStats,
 }
 
 /// A [`MemorySystem`]'s complete mutable state in canonical order,

@@ -47,7 +47,7 @@ mod stream_buffer;
 pub use cache::{Cache, CacheConfig, CacheState, LineState, StateError, StateProblem};
 pub use cost::CostModel;
 pub use hierarchy::{
-    AccessOutcome, AccessResult, HierarchyConfig, MemState, MemStats, MemorySystem, PrefetchFate,
-    PrefetchResolution,
+    AccessOutcome, AccessResult, HierarchyConfig, MemState, MemStats, MemView, MemorySystem,
+    PrefetchFate, PrefetchResolution,
 };
 pub use stream_buffer::{StreamBufferMemory, StreamBufferStats};
