@@ -17,9 +17,8 @@
 //! Each prints events per second; 1,000 divided by the Melem/s figure
 //! is nanoseconds per event.
 
-use bytes::BytesMut;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use hds_serve::wire::decode_stream;
+use hds_serve::wire::{decode_stream, FrameBuffer};
 use hds_serve::{loopback, Frame, Transport};
 use hds_vulcan::ProgramSource;
 use hds_workloads::{SyntheticConfig, SyntheticWorkload};
@@ -74,14 +73,11 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    let mut queued = BytesMut::new();
-    for _ in 0..QUEUED {
-        queued.extend_from_slice(&blob);
-    }
+    let queued = blob.repeat(QUEUED);
     group.throughput(Throughput::Elements((QUEUED * CHUNK_EVENTS) as u64));
     group.bench_function("drain_64_queued", |b| {
         b.iter(|| {
-            let mut inbox = BytesMut::new();
+            let mut inbox = FrameBuffer::default();
             inbox.extend_from_slice(black_box(&queued));
             let mut frames = 0;
             while let Some(frame) = decode_stream(&mut inbox).expect("clean frames") {

@@ -25,13 +25,12 @@
 
 use std::fmt;
 
-use bytes::{Buf, Bytes};
 use hds_bursty::TracerState;
 use hds_guard::{AccuracyState, GuardState, StreamAccuracyState};
 use hds_memsim::{
     Cache, CacheState, LineState, MemState, MemStats, MemView, PrefetchFate, PrefetchResolution,
 };
-use hds_trace::codec::{get_varint, CodecError};
+use hds_trace::codec::{take_varint, CodecError};
 use hds_trace::{Addr, DataRef, Pc};
 use hds_vulcan::{CopyState, ImageState, ProcId};
 
@@ -239,14 +238,14 @@ impl Snapshot {
         if found != expected {
             return Err(SnapshotError::ChecksumMismatch { expected, found });
         }
-        let mut r = Bytes::copy_from_slice(payload);
+        let mut r = payload;
         let found = u64::get(&mut r).map_err(|e| e.within("config"))?;
         if let Some(expected) = expected_config.filter(|&e| e != found) {
             return Err(SnapshotError::ConfigMismatch { expected, found });
         }
         let state = SessionState::get(&mut r)?;
-        if r.has_remaining() {
-            return Err(malformed(format!("{} trailing bytes", r.remaining())));
+        if !r.is_empty() {
+            return Err(malformed(format!("{} trailing bytes", r.len())));
         }
         Ok(state)
     }
@@ -467,7 +466,7 @@ pub(crate) trait Put {
 /// `put` wrote and turns anything else into
 /// [`SnapshotError::Malformed`].
 trait Field: Put + Sized {
-    fn get(r: &mut Bytes) -> Result<Self, SnapshotError>;
+    fn get(r: &mut &[u8]) -> Result<Self, SnapshotError>;
 }
 
 fn malformed(what: impl Into<String>) -> SnapshotError {
@@ -493,8 +492,8 @@ impl Put for u64 {
 }
 
 impl Field for u64 {
-    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
-        get_varint(r).map_err(|e| {
+    fn get(r: &mut &[u8]) -> Result<Self, SnapshotError> {
+        take_varint(r).map_err(|e| {
             malformed(match e {
                 CodecError::Overlong => "overlong varint",
                 _ => "truncated",
@@ -513,7 +512,7 @@ macro_rules! narrow_field {
             }
         }
         impl Field for $t {
-            fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+            fn get(r: &mut &[u8]) -> Result<Self, SnapshotError> {
                 let v = u64::get(r)?;
                 Self::try_from(v).map_err(|_| malformed(format!("{v} out of range")))
             }
@@ -545,14 +544,14 @@ impl<T: Put> Put for Vec<T> {
 }
 
 impl<T: Field> Field for Vec<T> {
-    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+    fn get(r: &mut &[u8]) -> Result<Self, SnapshotError> {
         let n = usize::get(r)?;
         // Every element takes at least one byte, so a length the rest of
         // the payload cannot hold is refused before it is allocated.
-        if n > r.remaining() {
+        if n > r.len() {
             return Err(malformed(format!(
                 "length {n} exceeds {} remaining bytes",
-                r.remaining()
+                r.len()
             )));
         }
         let mut items = Vec::with_capacity(n);
@@ -576,7 +575,7 @@ impl<T: Put> Put for Option<T> {
 }
 
 impl<T: Field> Field for Option<T> {
-    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+    fn get(r: &mut &[u8]) -> Result<Self, SnapshotError> {
         match u64::get(r)? {
             0 => Ok(None),
             1 => T::get(r).map(Some),
@@ -593,7 +592,7 @@ impl<A: Put, B: Put> Put for (A, B) {
 }
 
 impl<A: Field, B: Field> Field for (A, B) {
-    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+    fn get(r: &mut &[u8]) -> Result<Self, SnapshotError> {
         Ok((A::get(r)?, B::get(r)?))
     }
 }
@@ -607,7 +606,7 @@ impl<A: Put, B: Put, C: Put> Put for (A, B, C) {
 }
 
 impl<A: Field, B: Field, C: Field> Field for (A, B, C) {
-    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+    fn get(r: &mut &[u8]) -> Result<Self, SnapshotError> {
         Ok((A::get(r)?, B::get(r)?, C::get(r)?))
     }
 }
@@ -621,7 +620,7 @@ impl<const N: usize> Put for [u64; N] {
 }
 
 impl<const N: usize> Field for [u64; N] {
-    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+    fn get(r: &mut &[u8]) -> Result<Self, SnapshotError> {
         let mut a = [0; N];
         for v in &mut a {
             *v = u64::get(r)?;
@@ -639,7 +638,7 @@ impl<const N: usize> Put for [bool; N] {
 }
 
 impl<const N: usize> Field for [bool; N] {
-    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+    fn get(r: &mut &[u8]) -> Result<Self, SnapshotError> {
         let bits = u64::get(r)?;
         if bits >> N != 0 {
             return Err(malformed(format!("flags {bits:#b} out of range")));
@@ -666,7 +665,7 @@ fn put_line(c: &mut Cursor<'_>, line: &LineState) {
 }
 
 impl Field for LineState {
-    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+    fn get(r: &mut &[u8]) -> Result<Self, SnapshotError> {
         let (block, lru) = Field::get(r)?;
         let [prefetched_unused, origin_prefetched, dirty] = Field::get(r)?;
         Ok(LineState {
@@ -711,7 +710,7 @@ impl Put for PrefetchFate {
 }
 
 impl Field for PrefetchFate {
-    fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+    fn get(r: &mut &[u8]) -> Result<Self, SnapshotError> {
         match u64::get(r)? {
             0 => Ok(PrefetchFate::Useful),
             1 => Ok(PrefetchFate::Late),
@@ -730,7 +729,7 @@ macro_rules! record {
     ($($ty:ty $(, $view:ty)* { $($f:tt),* })*) => {$(
         record!(@put [$ty $(, $view)*] { $($f),* });
         impl Field for $ty {
-            fn get(r: &mut Bytes) -> Result<Self, SnapshotError> {
+            fn get(r: &mut &[u8]) -> Result<Self, SnapshotError> {
                 Ok(Self {
                     $($f: Field::get(r).map_err(|e: SnapshotError| e.within(stringify!($f)))?,)*
                 })
@@ -971,10 +970,10 @@ mod tests {
 
     /// `put_varint`'s bytes for `vs`, one after another.
     fn reference(vs: &[u64]) -> Vec<u8> {
-        let mut out = bytes::BytesMut::new();
+        let mut out = Vec::new();
         vs.iter()
             .for_each(|&v| hds_trace::codec::put_varint(&mut out, v));
-        out.to_vec()
+        out
     }
 
     #[test]

@@ -188,7 +188,7 @@ impl<T: Transport> ChaosTransport<T> {
 
 impl<T: Transport> Transport for ChaosTransport<T> {
     fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        let blob = frame.encode().to_vec();
+        let blob = frame.encode();
         match self.plan.draw() {
             None => {
                 self.inner.send_bytes(&blob)?;

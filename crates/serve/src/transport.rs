@@ -13,9 +13,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use bytes::BytesMut;
-
-use crate::wire::{decode_stream, Frame, FrameError};
+use crate::wire::{decode_stream, Frame, FrameBuffer, FrameError};
 
 /// Errors moving frames over a transport.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,7 +102,7 @@ type Pipe = Arc<Mutex<PipeState>>;
 pub struct LoopbackTransport {
     out: Pipe,
     inbox: Pipe,
-    reassembly: BytesMut,
+    reassembly: FrameBuffer,
 }
 
 /// Creates a connected in-process pair: frames sent on one end are
@@ -117,12 +115,12 @@ pub fn loopback() -> (LoopbackTransport, LoopbackTransport) {
         LoopbackTransport {
             out: Arc::clone(&a_to_b),
             inbox: Arc::clone(&b_to_a),
-            reassembly: BytesMut::new(),
+            reassembly: FrameBuffer::default(),
         },
         LoopbackTransport {
             out: b_to_a,
             inbox: a_to_b,
-            reassembly: BytesMut::new(),
+            reassembly: FrameBuffer::default(),
         },
     )
 }
@@ -175,15 +173,13 @@ pub mod tcp {
     use std::net::TcpStream;
     use std::time::Duration;
 
-    use bytes::BytesMut;
-
     use super::{Transport, TransportError};
-    use crate::wire::{decode_stream, Frame};
+    use crate::wire::{decode_stream, Frame, FrameBuffer};
 
     /// One `HDSW` frame stream over a TCP connection.
     pub struct TcpTransport {
         stream: TcpStream,
-        reassembly: BytesMut,
+        reassembly: FrameBuffer,
     }
 
     impl TcpTransport {
@@ -192,7 +188,7 @@ pub mod tcp {
         pub fn new(stream: TcpStream) -> Self {
             TcpTransport {
                 stream,
-                reassembly: BytesMut::new(),
+                reassembly: FrameBuffer::default(),
             }
         }
 

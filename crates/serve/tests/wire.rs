@@ -271,7 +271,7 @@ proptest! {
     /// clean partial-frame wait, never a panic.
     #[test]
     fn stream_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..120)) {
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = hds_serve::wire::FrameBuffer::default();
         buf.extend_from_slice(&bytes);
         // Drain until a parse error or the reassembler wants more bytes.
         while let Ok(Some(_)) = decode_stream(&mut buf) {}

@@ -14,8 +14,7 @@
 
 use std::fmt::{self, Write as _};
 
-use bytes::BytesMut;
-use hds_serve::wire::decode_stream;
+use hds_serve::wire::{decode_stream, FrameBuffer};
 use hds_serve::Frame;
 use hds_trace::codec::put_varint;
 use hds_trace::hash::{fnv1a32, Fnv64};
@@ -84,7 +83,7 @@ impl Digest {
     /// Feeds what both decoders return for `blob`, with how many bytes
     /// `decode_stream` left buffered, and a separator word.
     fn decoded(&mut self, blob: &[u8]) {
-        let mut inbox = BytesMut::new();
+        let mut inbox = FrameBuffer::default();
         inbox.extend_from_slice(blob);
         let streamed = decode_stream(&mut inbox);
         write!(
@@ -118,14 +117,13 @@ fn reseal(blob: &mut [u8]) {
 
 /// The hand-built chunk's kind, tenant and sequence number, followed
 /// by `tail` — a body whose events section is written by hand.
-fn chunk_body(tail: impl FnOnce(&mut BytesMut)) -> Vec<u8> {
+fn chunk_body(tail: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let blob = hand_built_chunk().encode();
     // Kind byte, tenant length varint and tenant, ten-byte seq varint.
     let prefix = 1 + 1 + "tenant-golden".len() + 10;
-    let mut body = BytesMut::new();
-    body.extend_from_slice(&blob[4..4 + prefix]);
+    let mut body = blob[4..4 + prefix].to_vec();
     tail(&mut body);
-    body.to_vec()
+    body
 }
 
 #[test]

@@ -15,8 +15,6 @@
 //! addresses, so deltas are small); each burst restarts the predictor so
 //! bursts stay independently decodable in sequence.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::buffer::TraceBuffer;
 use crate::types::{Addr, DataRef, Pc};
 
@@ -55,52 +53,57 @@ impl std::fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Appends an LEB128-style varint (7 data bits per byte, high bit =
-/// continuation). Public so higher layers — e.g. the `hds-serve` wire
-/// protocol — frame their payloads with the exact same primitives the
-/// profile codec uses.
+/// continuation). Public so higher layers — the `hds-serve` wire
+/// protocol, the store's records, the snapshot format — write their
+/// payloads with the exact same primitives the profile codec uses.
 #[inline]
-pub fn put_varint(out: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        #[allow(clippy::cast_possible_truncation)]
+        out.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            out.put_u8(byte);
-            return;
-        }
-        out.put_u8(byte | 0x80);
     }
+    #[allow(clippy::cast_possible_truncation)]
+    out.push(v as u8);
 }
 
-/// Reads a varint written by [`put_varint`].
+/// Takes one byte off the front of `s`.
 ///
 /// # Errors
 ///
-/// [`CodecError::Truncated`] when the buffer ends mid-varint,
-/// [`CodecError::Overlong`] when the encoding exceeds ten bytes.
+/// [`CodecError::Truncated`] when `s` is empty.
+#[inline(always)]
+pub fn take_u8(s: &mut &[u8]) -> Result<u8, CodecError> {
+    let (&b, rest) = s.split_first().ok_or(CodecError::Truncated)?;
+    *s = rest;
+    Ok(b)
+}
+
+/// Takes the next `n` bytes off the front of `s`, borrowed in place.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] when fewer than `n` bytes remain.
 #[inline]
-pub fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
-    let mut rest: &[u8] = buf;
-    let v = take_varint(&mut rest);
-    let read = buf.len() - rest.len();
-    buf.advance(read);
-    v
+pub fn take_bytes<'a>(s: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
+    let (head, rest) = s.split_at_checked(n).ok_or(CodecError::Truncated)?;
+    *s = rest;
+    Ok(head)
 }
 
-/// Takes a varint written by [`put_varint`] off the front of a byte
-/// slice: [`get_varint`] for decoders that walk a body as a plain
-/// slice.
+/// Takes a varint written by [`put_varint`] off the front of `s`.
 ///
 /// # Errors
 ///
-/// As [`get_varint`].
+/// [`CodecError::Truncated`] when `s` ends mid-varint,
+/// [`CodecError::Overlong`] when the encoding exceeds ten bytes.
 #[inline(always)]
 pub fn take_varint(s: &mut &[u8]) -> Result<u64, CodecError> {
     let mut v = 0u64;
     for shift in (0..64).step_by(7) {
-        let (&byte, rest) = s.split_first().ok_or(CodecError::Truncated)?;
-        *s = rest;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
+        let b = take_u8(s)?;
+        v |= u64::from(b & 0x7f) << shift;
+        if b & 0x80 == 0 {
             return Ok(v);
         }
     }
@@ -137,10 +140,10 @@ pub fn unzigzag(v: u64) -> i64 {
 /// # Ok::<(), hds_trace::codec::CodecError>(())
 /// ```
 #[must_use]
-pub fn encode_profile(buffer: &TraceBuffer) -> Bytes {
-    let mut out = BytesMut::with_capacity(16 + buffer.len() * 3);
-    out.put_slice(MAGIC);
-    out.put_u8(VERSION);
+pub fn encode_profile(buffer: &TraceBuffer) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + buffer.len() * 3);
+    out.extend_from_slice(MAGIC);
+    out.push(VERSION);
     put_varint(&mut out, buffer.bursts().count() as u64);
     for burst in buffer.bursts() {
         let refs = buffer.burst_refs(burst);
@@ -159,7 +162,7 @@ pub fn encode_profile(buffer: &TraceBuffer) -> Bytes {
             prev_addr = addr;
         }
     }
-    out.freeze()
+    out
 }
 
 /// Parses an `HDSP` blob back into a [`TraceBuffer`].
@@ -169,29 +172,24 @@ pub fn encode_profile(buffer: &TraceBuffer) -> Bytes {
 /// Returns a [`CodecError`] for malformed input; trailing bytes after
 /// the declared bursts are tolerated (future extension space).
 pub fn decode_profile(blob: &[u8]) -> Result<TraceBuffer, CodecError> {
-    let mut buf = Bytes::copy_from_slice(blob);
-    if buf.remaining() < MAGIC.len() + 1 {
-        return Err(CodecError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let mut s = blob;
+    let (magic, version) = take_bytes(&mut s, MAGIC.len() + 1)?.split_at(MAGIC.len());
+    if magic != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let version = buf.get_u8();
-    if version != VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
+    if version[0] != VERSION {
+        return Err(CodecError::UnsupportedVersion(version[0]));
     }
-    let bursts = get_varint(&mut buf)?;
+    let bursts = take_varint(&mut s)?;
     let mut out = TraceBuffer::new();
     for _ in 0..bursts {
-        let n = get_varint(&mut buf)?;
+        let n = take_varint(&mut s)?;
         out.begin_burst();
         let mut prev_pc: i64 = 0;
         let mut prev_addr: i64 = 0;
         for _ in 0..n {
-            let pc = prev_pc.wrapping_add(unzigzag(get_varint(&mut buf)?));
-            let addr = prev_addr.wrapping_add(unzigzag(get_varint(&mut buf)?));
+            let pc = prev_pc.wrapping_add(unzigzag(take_varint(&mut s)?));
+            let addr = prev_addr.wrapping_add(unzigzag(take_varint(&mut s)?));
             prev_pc = pc;
             prev_addr = addr;
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -299,14 +297,13 @@ mod tests {
     #[test]
     fn varint_round_trips() {
         for v in [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
-            let mut out = BytesMut::new();
+            let mut out = Vec::new();
             put_varint(&mut out, v);
-            let mut buf = out.freeze();
-            assert_eq!(get_varint(&mut buf), Ok(v), "varint broken for {v}");
-            assert!(!buf.has_remaining());
+            let mut s = out.as_slice();
+            assert_eq!(take_varint(&mut s), Ok(v), "varint broken for {v}");
+            assert!(s.is_empty());
         }
-        let mut empty = Bytes::copy_from_slice(&[]);
-        assert_eq!(get_varint(&mut empty), Err(CodecError::Truncated));
+        assert_eq!(take_varint(&mut &[][..]), Err(CodecError::Truncated));
     }
 
     #[test]
