@@ -627,6 +627,9 @@ impl Store {
 }
 
 #[cfg(test)]
+mod manifest_golden;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{FaultyStorage, StoreFaultPlan};
