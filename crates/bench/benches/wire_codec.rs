@@ -50,7 +50,7 @@ fn chunk() -> Frame {
     Frame::TraceChunk {
         tenant: "tenant-000".into(),
         seq: 2,
-        events,
+        events: events.into(),
     }
 }
 

@@ -73,7 +73,7 @@ fn drive(manager: &mut SessionManager<MetricsRecorder>, loads: &[TenantLoad]) ->
                 let responses = manager.handle(Frame::TraceChunk {
                     seq: 0,
                     tenant: l.name.clone(),
-                    events: chunk.clone(),
+                    events: chunk.clone().into(),
                 });
                 shed += responses
                     .iter()
@@ -212,7 +212,7 @@ fn main() {
             let responses = manager.handle(Frame::TraceChunk {
                 seq: 0,
                 tenant: l.name.clone(),
-                events: chunk.clone(),
+                events: chunk.clone().into(),
             });
             shed += responses
                 .iter()

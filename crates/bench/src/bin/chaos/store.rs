@@ -444,7 +444,7 @@ fn drive_serve(
             let responses = manager.handle(Frame::TraceChunk {
                 seq: 0,
                 tenant: l.name.clone(),
-                events: chunk.clone(),
+                events: chunk.clone().into(),
             });
             // A freshly restarted tenant is resident: replay chunks
             // never touch the store, so they cannot reject.
@@ -471,7 +471,7 @@ fn drive_serve(
                 let responses = manager.handle(Frame::TraceChunk {
                     seq: 0,
                     tenant: l.name.clone(),
-                    events: chunk.clone(),
+                    events: chunk.clone().into(),
                 });
                 if rejected(&responses, what) {
                     restarts += 1;
@@ -617,7 +617,7 @@ fn serve_sweep(scale: Scale) -> (u64, u64, u64) {
         manager.handle(Frame::TraceChunk {
             seq: 0,
             tenant: l.name.clone(),
-            events: l.chunks[0].clone(),
+            events: l.chunks[0].clone().into(),
         });
     }
     manager.pump();

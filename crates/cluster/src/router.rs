@@ -530,7 +530,7 @@ impl<O: Observer> Router<O> {
                 tenant,
                 seq,
                 events,
-            } => self.trace_chunk(&tenant, seq, events),
+            } => self.trace_chunk(&tenant, seq, events.into_vec()),
             Frame::Flush { tenant } => self.flush(&tenant),
             Frame::Migrate { record } => self.migrate_in(record),
             Frame::Export { tenant, detach } => self.export(&tenant, detach),

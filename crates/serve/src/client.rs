@@ -516,11 +516,11 @@ impl<T: Transport, O: Observer> ClientSession<T, O> {
                 let frame = Frame::TraceChunk {
                     tenant: self.flows[i].name.clone(),
                     seq,
-                    events: std::mem::take(&mut self.flows[i].chunks[slot]),
+                    events: std::mem::take(&mut self.flows[i].chunks[slot]).into(),
                 };
                 let sent = self.push(&frame);
                 if let Frame::TraceChunk { events, .. } = frame {
-                    self.flows[i].chunks[slot] = events;
+                    self.flows[i].chunks[slot] = events.into_vec();
                 }
                 return sent;
             }

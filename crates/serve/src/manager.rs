@@ -47,7 +47,9 @@ use hds_telemetry::events::ServeBudgetKind;
 use hds_vulcan::{Event, Procedure};
 
 use crate::report::{ServeReport, ShardStats, TenantOutcome};
-use crate::wire::{Frame, RejectCode, ShardSummary, TenantStats, FEATURE_RELIABLE, WIRE_VERSION};
+use crate::wire::{
+    ChunkEvents, Frame, RejectCode, ShardSummary, TenantStats, FEATURE_RELIABLE, WIRE_VERSION,
+};
 
 /// The `a` argument of the `Crash` span instant a mid-frame shard kill
 /// leaves in the flight ring. Continues the core executor's crash-point
@@ -295,7 +297,7 @@ enum ShardMsg {
     },
     Chunk {
         tenant: String,
-        events: Vec<Event>,
+        events: ChunkEvents,
     },
     Flush {
         tenant: String,
@@ -1226,7 +1228,7 @@ impl<O: Observer> SessionManager<O> {
         }
     }
 
-    fn trace_chunk(&mut self, tenant: String, seq: u64, events: Vec<Event>) -> Vec<Frame> {
+    fn trace_chunk(&mut self, tenant: String, seq: u64, events: ChunkEvents) -> Vec<Frame> {
         let Some(ctrl) = self.tenants.get(&tenant) else {
             return self.reject(RejectCode::UnknownTenant, &tenant);
         };

@@ -25,8 +25,10 @@
 //! a [`FrameError`], never a panic — property-tested in
 //! `tests/wire.rs` against truncation and single-byte corruption.
 
+use std::sync::{Arc, Mutex};
+
 use hds_backend::BackendKind;
-use hds_store::{decode_record, encode_record, Record, TenantRecord};
+use hds_store::{decode_record, Record, TenantRecord};
 use hds_trace::codec::{
     put_varint, take_bytes, take_u8, take_varint, unzigzag, zigzag, CodecError,
 };
@@ -347,7 +349,7 @@ pub enum Frame {
         /// rejects gaps with [`RejectCode::BadSequence`].
         seq: u64,
         /// The events, in program order.
-        events: Vec<Event>,
+        events: ChunkEvents,
     },
     /// Ends the tenant's stream; the server answers with [`Frame::Report`].
     Flush {
@@ -501,6 +503,105 @@ pub enum Frame {
     },
 }
 
+/// Most events the decoder reserves room for before reading them, and
+/// the largest buffer a [`FrameBuffer`] takes back for reuse: a
+/// hostile chunk that grew its buffer past this is freed, not kept.
+const MAX_RESERVED_EVENTS: usize = 1 << 16;
+
+/// Most spare event buffers one [`FrameBuffer`] keeps.
+const MAX_SPARE_BUFFERS: usize = 4;
+
+/// The spare event buffers of one [`FrameBuffer`], shared with the
+/// chunks decoded from it: the thread that drops a chunk (a shard's
+/// pump worker, say) is not always the one that decoded it.
+type Spares = Arc<Mutex<Vec<Vec<Event>>>>;
+
+/// The events of a [`Frame::TraceChunk`], read as a `[Event]` slice.
+///
+/// A chunk that [`decode_stream`] decodes is written into a buffer its
+/// [`FrameBuffer`] lends, and dropping the chunk hands the cleared
+/// buffer back, so a connection decodes chunk after chunk into the
+/// same few allocations instead of a fresh one each. Events built from
+/// a `Vec` (`.into()`), decoded by [`Frame::decode`], cloned, or taken
+/// out with [`ChunkEvents::into_vec`] own their buffer outright.
+/// Equality and `Debug` see the events alone.
+pub struct ChunkEvents {
+    events: Vec<Event>,
+    /// Where the buffer goes back when the events drop, if it was lent.
+    home: Option<Spares>,
+}
+
+impl ChunkEvents {
+    /// No events yet, in a buffer lent from `home`: one of its spares
+    /// when it holds one, else a fresh one that goes back to it.
+    fn lent(home: &Spares) -> ChunkEvents {
+        let spare = home.lock().ok().and_then(|mut spares| spares.pop());
+        ChunkEvents {
+            events: spare.unwrap_or_default(),
+            home: Some(Arc::clone(home)),
+        }
+    }
+
+    /// The events in a `Vec` of their own. A lent buffer stays with
+    /// the caller and is not handed back.
+    #[must_use]
+    pub fn into_vec(mut self) -> Vec<Event> {
+        self.home = None;
+        std::mem::take(&mut self.events)
+    }
+}
+
+impl Drop for ChunkEvents {
+    fn drop(&mut self) {
+        let Some(home) = self.home.take() else {
+            return;
+        };
+        if self.events.capacity() > MAX_RESERVED_EVENTS {
+            return;
+        }
+        let Ok(mut spares) = home.lock() else {
+            return;
+        };
+        if spares.len() < MAX_SPARE_BUFFERS {
+            let mut events = std::mem::take(&mut self.events);
+            events.clear();
+            spares.push(events);
+        }
+    }
+}
+
+impl From<Vec<Event>> for ChunkEvents {
+    fn from(events: Vec<Event>) -> Self {
+        ChunkEvents { events, home: None }
+    }
+}
+
+impl std::ops::Deref for ChunkEvents {
+    type Target = [Event];
+
+    fn deref(&self) -> &[Event] {
+        &self.events
+    }
+}
+
+impl Clone for ChunkEvents {
+    fn clone(&self) -> Self {
+        self.events.clone().into()
+    }
+}
+
+impl PartialEq for ChunkEvents {
+    fn eq(&self, other: &Self) -> bool {
+        self.events == other.events
+    }
+}
+
+impl std::fmt::Debug for ChunkEvents {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.events.fmt(f)
+    }
+}
+
 fn put_string(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
@@ -620,7 +721,8 @@ fn put_events(out: &mut Vec<u8>, sum: &mut Fnv1a32, events: &[Event]) {
     }
 }
 
-fn get_events(buf: &mut &[u8]) -> Result<Vec<Event>, FrameError> {
+/// Decodes a chunk's events into `events`, which is empty.
+fn get_events(buf: &mut &[u8], events: &mut Vec<Event>) -> Result<(), FrameError> {
     // Walk a copy of the slice, which stays in registers, and store
     // where it ended once the events are done.
     let mut s = *buf;
@@ -631,7 +733,7 @@ fn get_events(buf: &mut &[u8]) -> Result<Vec<Event>, FrameError> {
         return Err(FrameError::BadPayload("event count exceeds frame cap"));
     }
     #[allow(clippy::cast_possible_truncation)]
-    let mut events = Vec::with_capacity((n as usize).min(1 << 16));
+    events.reserve((n as usize).min(MAX_RESERVED_EVENTS));
     let mut prev_pc: i64 = 0;
     let mut prev_addr: i64 = 0;
     for _ in 0..n {
@@ -679,7 +781,7 @@ fn get_events(buf: &mut &[u8]) -> Result<Vec<Event>, FrameError> {
         events.push(event);
     }
     *buf = s;
-    Ok(events)
+    Ok(())
 }
 
 fn put_tenant_stats(out: &mut Vec<u8>, stats: &[TenantStats]) {
@@ -759,7 +861,7 @@ fn get_shard_summaries(buf: &mut &[u8]) -> Result<Vec<ShardSummary>, FrameError>
 /// through the wire is byte-identical to one that round-tripped
 /// through disk — migration and spill/load share one codec.
 fn put_record(out: &mut Vec<u8>, record: &TenantRecord) {
-    let blob = encode_record(&Record::Tenant(record.clone()));
+    let blob = record.encode();
     put_varint(out, blob.len() as u64);
     out.extend_from_slice(&blob);
 }
@@ -1078,7 +1180,7 @@ impl Frame {
         if sealed.len() as u64 > u64::from(len) {
             return Err(FrameError::BadPayload("trailing bytes after frame"));
         }
-        open_sealed(sealed)
+        open_sealed(sealed, None)
     }
 }
 
@@ -1087,7 +1189,8 @@ const LEN_BYTES: usize = 4;
 
 /// Checks a complete frame's checksum and decodes its body in place.
 /// `sealed` is everything after the length prefix: body and trailer.
-fn open_sealed(sealed: &[u8]) -> Result<Frame, FrameError> {
+/// A chunk's events go into a buffer lent from `spares`, if given.
+fn open_sealed(sealed: &[u8], spares: Option<&Spares>) -> Result<Frame, FrameError> {
     // The smallest frame is one kind byte plus the trailer.
     let Some((mut body, trailer)) = sealed
         .split_last_chunk::<CHECKSUM_BYTES>()
@@ -1100,7 +1203,7 @@ fn open_sealed(sealed: &[u8]) -> Result<Frame, FrameError> {
     if want != got {
         return Err(FrameError::Damaged { want, got });
     }
-    decode_body(&mut body)
+    decode_body(&mut body, spares)
 }
 
 /// Bytes of checksum trailer at the end of every frame, covered by the
@@ -1128,7 +1231,7 @@ fn get_backend_kind(buf: &mut &[u8]) -> Result<Option<BackendKind>, FrameError> 
 }
 
 /// Decodes a frame body (the bytes after the length prefix).
-fn decode_body(buf: &mut &[u8]) -> Result<Frame, FrameError> {
+fn decode_body(buf: &mut &[u8], spares: Option<&Spares>) -> Result<Frame, FrameError> {
     let kind = take_u8(buf)?;
     let frame = match kind {
         K_HELLO | K_HELLO_ACK => {
@@ -1163,7 +1266,10 @@ fn decode_body(buf: &mut &[u8]) -> Result<Frame, FrameError> {
         K_CHUNK => {
             let tenant = get_string(buf)?;
             let seq = take_varint(buf)?;
-            let events = get_events(buf)?;
+            // Lent before decoding, so a chunk that fails to decode
+            // hands its buffer back too.
+            let mut events = spares.map_or_else(|| Vec::new().into(), ChunkEvents::lent);
+            get_events(buf, &mut events.events)?;
             Frame::TraceChunk {
                 tenant,
                 seq,
@@ -1275,12 +1381,15 @@ fn decode_body(buf: &mut &[u8]) -> Result<Frame, FrameError> {
 /// in place from the unconsumed bytes. The consumed front is cut off
 /// only once it passes half the buffer, so draining k queued frames
 /// moves each byte at most once, however many frames wait behind the
-/// one taken.
+/// one taken. It also keeps up to four spare event buffers that the
+/// chunks it decoded handed back (see [`ChunkEvents`]).
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     bytes: Vec<u8>,
     /// Bytes at the front already consumed.
     head: usize,
+    /// Event buffers of dropped chunks, lent to the next chunks.
+    spares: Spares,
 }
 
 impl FrameBuffer {
@@ -1338,7 +1447,7 @@ pub fn decode_stream(buf: &mut FrameBuffer) -> Result<Option<Frame>, FrameError>
     let Some(sealed) = unconsumed.get(LEN_BYTES..total) else {
         return Ok(None);
     };
-    let frame = open_sealed(sealed);
+    let frame = open_sealed(sealed, Some(&buf.spares));
     buf.consume(total);
     frame.map(Some)
 }
@@ -1346,6 +1455,7 @@ pub fn decode_stream(buf: &mut FrameBuffer) -> Result<Option<Frame>, FrameError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hds_store::encode_record;
 
     fn sample_record() -> TenantRecord {
         TenantRecord {
@@ -1394,7 +1504,8 @@ mod tests {
                     Event::Prefetch(Addr(0x8000)),
                     Event::Thread(2),
                     Event::Exit(ProcId(0)),
-                ],
+                ]
+                .into(),
             },
             Frame::Flush {
                 tenant: "tenant-a".into(),
@@ -1737,13 +1848,13 @@ mod tests {
         let a = Frame::TraceChunk {
             tenant: "t".into(),
             seq: 0,
-            events: events.clone(),
+            events: events.clone().into(),
         }
         .encode();
         let b = Frame::TraceChunk {
             tenant: "t".into(),
             seq: 0,
-            events,
+            events: events.into(),
         }
         .encode();
         assert_eq!(a, b);
@@ -1800,6 +1911,123 @@ mod tests {
             Frame::decode(&export),
             Err(FrameError::BadPayload("unknown detach flag"))
         );
+    }
+
+    /// A sequenced chunk of `n` events.
+    fn chunk(n: u32) -> Frame {
+        Frame::TraceChunk {
+            tenant: "t".into(),
+            seq: 1,
+            events: (0..n).map(Event::Work).collect::<Vec<_>>().into(),
+        }
+    }
+
+    fn events_of(frame: Frame) -> ChunkEvents {
+        match frame {
+            Frame::TraceChunk { events, .. } => events,
+            other => panic!("not a chunk: {other:?}"),
+        }
+    }
+
+    /// Streams `frame` through `inbox` and returns its events.
+    fn decode_one(inbox: &mut FrameBuffer, frame: &Frame) -> ChunkEvents {
+        inbox.extend_from_slice(&frame.encode());
+        events_of(decode_stream(inbox).unwrap().unwrap())
+    }
+
+    fn spares(inbox: &FrameBuffer) -> Vec<*const Event> {
+        inbox
+            .spares
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_ptr())
+            .collect()
+    }
+
+    #[test]
+    fn a_dropped_chunk_lends_its_buffer_to_the_next() {
+        let mut inbox = FrameBuffer::default();
+        let first = decode_one(&mut inbox, &chunk(4_000));
+        let ptr = first.as_ptr();
+        drop(first);
+        assert_eq!(spares(&inbox), [ptr]);
+        // A block of the same size taken now would be the freed one,
+        // had the buffer gone back to the allocator.
+        let decoy: Vec<Event> = Vec::with_capacity(4_000);
+        let second = decode_one(&mut inbox, &chunk(3_000));
+        assert_eq!(second.as_ptr(), ptr);
+        assert_ne!(decoy.as_ptr(), ptr);
+        assert_eq!(second, events_of(chunk(3_000)));
+        assert!(spares(&inbox).is_empty());
+        // A chunk that fails to decode hands its buffer back too.
+        drop(second);
+        // Kind, tenant "t", seq 1, one event, an unknown event tag.
+        inbox.extend_from_slice(&seal(&[K_CHUNK, 1, b't', 1, 1, 0x7f]));
+        assert_eq!(
+            decode_stream(&mut inbox),
+            Err(FrameError::BadPayload("unknown event tag"))
+        );
+        assert_eq!(spares(&inbox), [ptr]);
+    }
+
+    #[test]
+    fn a_buffer_grown_past_the_reservation_cap_is_not_kept() {
+        let mut inbox = FrameBuffer::default();
+        let over = u32::try_from(MAX_RESERVED_EVENTS).unwrap() + 1;
+        let big = decode_one(&mut inbox, &chunk(over));
+        assert!(big.events.capacity() > MAX_RESERVED_EVENTS);
+        drop(big);
+        assert!(spares(&inbox).is_empty());
+        drop(decode_one(&mut inbox, &chunk(over - 1)));
+        assert_eq!(spares(&inbox).len(), 1);
+    }
+
+    #[test]
+    fn at_most_four_buffers_are_kept_wherever_chunks_drop() {
+        let mut inbox = FrameBuffer::default();
+        for _ in 0..10 {
+            inbox.extend_from_slice(&chunk(100).encode());
+        }
+        let held: Vec<ChunkEvents> = std::iter::from_fn(|| decode_stream(&mut inbox).unwrap())
+            .map(events_of)
+            .collect();
+        assert_eq!(held.len(), 10);
+        // Shard pump workers drop the chunks they fed.
+        std::thread::spawn(move || drop(held)).join().unwrap();
+        assert_eq!(spares(&inbox).len(), MAX_SPARE_BUFFERS);
+    }
+
+    #[test]
+    fn decode_clone_and_into_vec_leave_the_spares_alone() {
+        let mut inbox = FrameBuffer::default();
+        drop(decode_one(&mut inbox, &chunk(100)));
+        let kept = spares(&inbox);
+        assert_eq!(kept.len(), 1);
+        drop(events_of(Frame::decode(&chunk(100).encode()).unwrap()));
+        assert_eq!(spares(&inbox), kept);
+
+        let lent = decode_one(&mut inbox, &chunk(100));
+        assert_eq!(lent.as_ptr(), kept[0]);
+        drop(lent.clone());
+        assert!(spares(&inbox).is_empty());
+        let owned = lent.into_vec();
+        assert_eq!(owned.as_ptr(), kept[0]);
+        assert!(spares(&inbox).is_empty());
+        drop(ChunkEvents::from(owned));
+        assert!(spares(&inbox).is_empty());
+    }
+
+    #[test]
+    fn frame_buffers_never_share_a_buffer() {
+        let (mut a, mut b) = (FrameBuffer::default(), FrameBuffer::default());
+        drop(decode_one(&mut a, &chunk(100)));
+        let from_b = decode_one(&mut b, &chunk(100));
+        assert_eq!(spares(&a).len(), 1);
+        assert_ne!(from_b.as_ptr(), spares(&a)[0]);
+        drop(from_b);
+        assert_eq!(spares(&b).len(), 1);
+        assert_ne!(spares(&a), spares(&b));
     }
 
     #[test]

@@ -204,7 +204,7 @@ fn clean_disconnect_after_flush_is_ok_even_mid_frame() {
             .send(&Frame::TraceChunk {
                 tenant: l.name.clone(),
                 seq: 0,
-                events: chunk.clone(),
+                events: chunk.clone().into(),
             })
             .unwrap();
     }
@@ -283,7 +283,7 @@ fn goodbye_drains_and_acks_through_the_serve_loop() {
             .send(&Frame::TraceChunk {
                 tenant: l.name.clone(),
                 seq: 0,
-                events: chunk.clone(),
+                events: chunk.clone().into(),
             })
             .unwrap();
     }

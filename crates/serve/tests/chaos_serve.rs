@@ -58,7 +58,7 @@ fn run_chaos(seed: u64, max_crashes: u32, loads: &[TenantLoad]) -> ServeReport {
                 let responses = manager.handle(Frame::TraceChunk {
                     seq: 0,
                     tenant: l.name.clone(),
-                    events: chunk.clone(),
+                    events: chunk.clone().into(),
                 });
                 assert!(responses.is_empty(), "unexpected {responses:?}");
             }

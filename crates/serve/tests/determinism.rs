@@ -80,7 +80,7 @@ fn drive(
                 let responses = manager.handle(Frame::TraceChunk {
                     seq: 0,
                     tenant: l.name.clone(),
-                    events: chunk.clone(),
+                    events: chunk.clone().into(),
                 });
                 assert!(responses.is_empty(), "unexpected {responses:?}");
             }
@@ -406,13 +406,13 @@ fn breached_queue_budgets_shed_typed_frames() {
         .handle(Frame::TraceChunk {
             seq: 0,
             tenant: loads[0].name.clone(),
-            events: loads[0].chunks[0].clone(),
+            events: loads[0].chunks[0].clone().into(),
         })
         .is_empty());
     let responses = manager.handle(Frame::TraceChunk {
         seq: 0,
         tenant: loads[0].name.clone(),
-        events: loads[0].chunks[1].clone(),
+        events: loads[0].chunks[1].clone().into(),
     });
     assert!(
         matches!(
@@ -432,7 +432,7 @@ fn breached_queue_budgets_shed_typed_frames() {
         .handle(Frame::TraceChunk {
             seq: 0,
             tenant: loads[0].name.clone(),
-            events: loads[0].chunks[1].clone(),
+            events: loads[0].chunks[1].clone().into(),
         })
         .is_empty());
     let report = manager.report();
@@ -487,7 +487,7 @@ fn end_to_end_over_loopback_transport() {
                     .send(&Frame::TraceChunk {
                         seq: 0,
                         tenant: l.name.clone(),
-                        events: chunk.clone(),
+                        events: chunk.clone().into(),
                     })
                     .unwrap();
             }

@@ -57,7 +57,7 @@ fn introspect_round_trips_on_loopback_without_flushing() {
             .send(&Frame::TraceChunk {
                 seq: 0,
                 tenant: loads[0].name.clone(),
-                events: chunk.clone(),
+                events: chunk.clone().into(),
             })
             .unwrap();
     }
@@ -130,7 +130,7 @@ fn introspect_round_trips_on_loopback_without_flushing() {
                 .send(&Frame::TraceChunk {
                     seq: 0,
                     tenant: l.name.clone(),
-                    events: chunk.clone(),
+                    events: chunk.clone().into(),
                 })
                 .unwrap();
         }
@@ -204,7 +204,7 @@ fn serve_spans_nest_and_chaos_leaves_a_keyed_crash_instant() {
                 manager.handle(Frame::TraceChunk {
                     seq: 0,
                     tenant: l.name.clone(),
-                    events: chunk.clone(),
+                    events: chunk.clone().into(),
                 });
             }
         }

@@ -75,7 +75,7 @@ fn tcp_round_trip_matches_standalone() {
                 .send(&Frame::TraceChunk {
                     seq: 0,
                     tenant: l.name.clone(),
-                    events: chunk.clone(),
+                    events: chunk.clone().into(),
                 })
                 .unwrap();
         }
@@ -156,7 +156,7 @@ fn stats_round_trip_over_tcp() {
                 .send(&Frame::TraceChunk {
                     seq: 0,
                     tenant: l.name.clone(),
-                    events: chunk.clone(),
+                    events: chunk.clone().into(),
                 })
                 .unwrap();
         }

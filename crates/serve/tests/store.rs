@@ -71,7 +71,7 @@ fn drive_with_evictions(manager: &mut SessionManager<MetricsRecorder>, loads: &[
                 let responses = manager.handle(Frame::TraceChunk {
                     seq: 0,
                     tenant: l.name.clone(),
-                    events: chunk.clone(),
+                    events: chunk.clone().into(),
                 });
                 assert!(responses.is_empty(), "unexpected {responses:?}");
             }
@@ -214,7 +214,7 @@ fn spilled_tenants_do_not_count_against_resident_memory() {
             manager.handle(Frame::TraceChunk {
                 seq: 0,
                 tenant: l.name.clone(),
-                events: l.chunks[0].clone(),
+                events: l.chunks[0].clone().into(),
             });
         }
         manager.pump();
@@ -254,7 +254,7 @@ fn spilled_tenants_do_not_count_against_resident_memory() {
             with_store.handle(Frame::TraceChunk {
                 seq: 0,
                 tenant: l.name.clone(),
-                events: chunk.clone(),
+                events: chunk.clone().into(),
             });
         }
     }
@@ -295,7 +295,7 @@ fn corrupt_durable_state_restarts_tenant_from_scratch() {
     manager.handle(Frame::TraceChunk {
         seq: 0,
         tenant: l.name.clone(),
-        events: l.chunks[0].clone(),
+        events: l.chunks[0].clone().into(),
     });
     manager.pump();
     manager.handle(Frame::Evict {
@@ -324,7 +324,7 @@ fn corrupt_durable_state_restarts_tenant_from_scratch() {
     let responses = manager.handle(Frame::TraceChunk {
         seq: 0,
         tenant: l.name.clone(),
-        events: l.chunks[1].clone(),
+        events: l.chunks[1].clone().into(),
     });
     assert_eq!(responses.len(), 1);
     let Frame::Reject { code, .. } = &responses[0] else {
@@ -345,7 +345,7 @@ fn corrupt_durable_state_restarts_tenant_from_scratch() {
         let responses = manager.handle(Frame::TraceChunk {
             seq: 0,
             tenant: l.name.clone(),
-            events: chunk.clone(),
+            events: chunk.clone().into(),
         });
         assert!(responses.is_empty(), "unexpected {responses:?}");
     }
@@ -452,7 +452,7 @@ fn compaction_expires_dead_tenants_and_keeps_fresh_ones() {
         manager.handle(Frame::TraceChunk {
             seq: 0,
             tenant: l.name.clone(),
-            events: l.chunks[0].clone(),
+            events: l.chunks[0].clone().into(),
         });
     }
     manager.pump();
@@ -467,7 +467,7 @@ fn compaction_expires_dead_tenants_and_keeps_fresh_ones() {
         manager.handle(Frame::TraceChunk {
             seq: 0,
             tenant: alive.name.clone(),
-            events: chunk.clone(),
+            events: chunk.clone().into(),
         });
         manager.pump();
     }

@@ -168,7 +168,7 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
             .prop_map(|(tenant, seq, events)| Frame::TraceChunk {
                 tenant,
                 seq,
-                events
+                events: events.into()
             }),
         tenant_strategy().prop_map(|tenant| Frame::Flush { tenant }),
         tenant_strategy().prop_map(|tenant| Frame::Evict { tenant }),
@@ -400,7 +400,7 @@ fn zero_event_chunk_round_trips() {
     let frame = Frame::TraceChunk {
         tenant: "t".into(),
         seq: 1,
-        events: Vec::new(),
+        events: Vec::new().into(),
     };
     assert_eq!(Frame::decode(&frame.encode()), Ok(frame));
 }
@@ -413,7 +413,7 @@ fn max_varint_boundaries_round_trip() {
         Frame::TraceChunk {
             tenant: "t".into(),
             seq: u64::MAX,
-            events: Vec::new(),
+            events: Vec::new().into(),
         },
         Frame::Ack {
             tenant: "t".into(),

@@ -40,7 +40,7 @@ fn paper_chunks() -> Vec<Frame> {
             frames.push(Frame::TraceChunk {
                 tenant: tenant.clone(),
                 seq,
-                events,
+                events: events.into(),
             });
         }
     }
@@ -64,7 +64,8 @@ fn hand_built_chunk() -> Frame {
             Event::Prefetch(Addr(u64::MAX)),
             Event::Thread(u32::MAX),
             Event::Exit(ProcId(7)),
-        ],
+        ]
+        .into(),
     }
 }
 

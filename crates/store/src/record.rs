@@ -27,7 +27,7 @@
 //! * a **tombstone** — the tenant was flushed or discarded; earlier
 //!   records for it are dead.
 
-use hds_trace::codec::{put_varint, take_bytes, take_u8, take_varint, CodecError};
+use hds_trace::codec::{put_varint, take_array, take_bytes, take_u8, take_varint, CodecError};
 use hds_trace::hash::fnv1a64;
 use hds_trace::{AccessKind, Addr, DataRef, Pc};
 use hds_vulcan::{Event, Procedure};
@@ -239,46 +239,60 @@ fn get_event(buf: &mut &[u8]) -> Result<Event, RecordError> {
     })
 }
 
-/// Encodes one record with its length + checksum frame. The header's
-/// room is reserved first and filled in once the payload is written
-/// behind it.
+/// Encodes one record with its length + checksum frame.
 #[must_use]
-#[allow(clippy::cast_possible_truncation)]
 pub fn encode_record(record: &Record) -> Vec<u8> {
-    let mut out = vec![0; RECORD_HEADER_BYTES];
     match record {
+        Record::Tenant(r) => r.encode(),
         Record::Tombstone { tenant, stamp } => {
+            let mut out = vec![0; RECORD_HEADER_BYTES];
             out.push(KIND_TOMBSTONE);
             put_varint(&mut out, *stamp);
             put_string(&mut out, tenant);
-        }
-        Record::Tenant(r) => {
-            out.push(KIND_TENANT);
-            put_varint(&mut out, r.stamp);
-            put_string(&mut out, &r.tenant);
-            out.push(r.backend);
-            put_varint(&mut out, r.procedures.len() as u64);
-            for p in &r.procedures {
-                put_string(&mut out, p.name());
-                put_varint(&mut out, p.pcs().len() as u64);
-                for pc in p.pcs() {
-                    put_varint(&mut out, u64::from(pc.0));
-                }
-            }
-            match &r.snapshot {
-                None => out.push(0),
-                Some(blob) => {
-                    out.push(1);
-                    put_varint(&mut out, blob.len() as u64);
-                    out.extend_from_slice(blob);
-                }
-            }
-            put_varint(&mut out, r.tail.len() as u64);
-            for ev in &r.tail {
-                put_event(&mut out, ev);
-            }
+            seal(out)
         }
     }
+}
+
+impl TenantRecord {
+    /// Encodes the record with its length + checksum frame, reading it
+    /// in place: the bytes `encode_record` writes for a
+    /// [`Record::Tenant`] holding it.
+    #[must_use]
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = vec![0; RECORD_HEADER_BYTES];
+        out.push(KIND_TENANT);
+        put_varint(&mut out, self.stamp);
+        put_string(&mut out, &self.tenant);
+        out.push(self.backend);
+        put_varint(&mut out, self.procedures.len() as u64);
+        for p in &self.procedures {
+            put_string(&mut out, p.name());
+            put_varint(&mut out, p.pcs().len() as u64);
+            for pc in p.pcs() {
+                put_varint(&mut out, u64::from(pc.0));
+            }
+        }
+        match &self.snapshot {
+            None => out.push(0),
+            Some(blob) => {
+                out.push(1);
+                put_varint(&mut out, blob.len() as u64);
+                out.extend_from_slice(blob);
+            }
+        }
+        put_varint(&mut out, self.tail.len() as u64);
+        for ev in &self.tail {
+            put_event(&mut out, ev);
+        }
+        seal(out)
+    }
+}
+
+/// Fills in the header whose room `out` reserved in front of the
+/// payload written behind it.
+#[allow(clippy::cast_possible_truncation)]
+fn seal(mut out: Vec<u8>) -> Vec<u8> {
     let (header, payload) = out.split_at_mut(RECORD_HEADER_BYTES);
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&fnv1a64(payload).to_le_bytes());
@@ -359,28 +373,21 @@ fn decode_payload(payload: &[u8]) -> Result<Record, RecordError> {
 /// an error — a scan must stop at the first one (everything beyond a
 /// tear is untrusted).
 pub fn decode_record(buf: &[u8], offset: &mut usize) -> Result<Option<Record>, RecordError> {
-    let rest = &buf[(*offset).min(buf.len())..];
+    let mut rest = &buf[(*offset).min(buf.len())..];
     if rest.is_empty() {
         return Ok(None);
     }
-    if rest.len() < RECORD_HEADER_BYTES {
-        return Err(RecordError::Truncated);
-    }
-    let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
+    let len = u32::from_le_bytes(take_array(&mut rest)?);
+    let want = u64::from_le_bytes(take_array(&mut rest)?);
     if len as usize > MAX_PAYLOAD_BYTES {
         return Err(RecordError::Oversized(len));
     }
-    let want = u64::from_le_bytes(rest[4..12].try_into().expect("8 bytes"));
-    let payload_end = RECORD_HEADER_BYTES + len as usize;
-    if rest.len() < payload_end {
-        return Err(RecordError::Truncated);
-    }
-    let payload = &rest[RECORD_HEADER_BYTES..payload_end];
+    let payload = take_bytes(&mut rest, len as usize)?;
     if fnv1a64(payload) != want {
         return Err(RecordError::BadChecksum);
     }
     let record = decode_payload(payload)?;
-    *offset += payload_end;
+    *offset += RECORD_HEADER_BYTES + payload.len();
     Ok(Some(record))
 }
 

@@ -40,6 +40,8 @@
 
 use std::collections::BTreeMap;
 
+use hds_trace::codec::{take_array, take_bytes};
+
 use crate::fault::StoreFault;
 use crate::record::{decode_record, encode_record, Record, RecordError, TenantRecord};
 use crate::storage::{Storage, StorageError};
@@ -171,38 +173,30 @@ fn encode_manifest(segments: &[String], next_segment: u64) -> Vec<u8> {
 }
 
 fn decode_manifest(data: &[u8]) -> Result<(Vec<String>, u64), RecordError> {
-    if data.len() < 12 {
+    let take_u64 = |buf: &mut &[u8]| take_array(buf).map(u64::from_le_bytes);
+    let mut body = data;
+    let len = u32::from_le_bytes(take_array(&mut body)?);
+    let want = take_u64(&mut body)?;
+    if body.len() as u64 != u64::from(len) {
         return Err(RecordError::Truncated);
     }
-    let len = u32::from_le_bytes(data[..4].try_into().expect("4")) as usize;
-    let want = u64::from_le_bytes(data[4..12].try_into().expect("8"));
-    if data.len() != 12 + len {
-        return Err(RecordError::Truncated);
-    }
-    let body = &data[12..];
     if hds_trace::hash::fnv1a64(body) != want {
         return Err(RecordError::BadChecksum);
     }
-    let take_u64 = |at: usize| -> Result<u64, RecordError> {
-        body.get(at..at + 8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8")))
-            .ok_or(RecordError::Truncated)
-    };
-    let next_segment = take_u64(0)?;
-    let count = usize::try_from(take_u64(8)?).map_err(|_| RecordError::Overlong)?;
+    let mut buf = body;
+    let next_segment = take_u64(&mut buf)?;
+    let count = usize::try_from(take_u64(&mut buf)?).map_err(|_| RecordError::Overlong)?;
     if count > body.len() {
         return Err(RecordError::Truncated);
     }
-    let mut at = 16;
     let mut segments = Vec::with_capacity(count);
     for _ in 0..count {
-        let n = usize::try_from(take_u64(at)?).map_err(|_| RecordError::Overlong)?;
-        at += 8;
-        let raw = body.get(at..at + n).ok_or(RecordError::Truncated)?;
-        segments.push(String::from_utf8(raw.to_vec()).map_err(|_| RecordError::BadUtf8)?);
-        at += n;
+        let n = usize::try_from(take_u64(&mut buf)?).map_err(|_| RecordError::Overlong)?;
+        let name =
+            std::str::from_utf8(take_bytes(&mut buf, n)?).map_err(|_| RecordError::BadUtf8)?;
+        segments.push(name.to_owned());
     }
-    if at != body.len() {
+    if !buf.is_empty() {
         return Err(RecordError::TrailingBytes);
     }
     Ok((segments, next_segment))
@@ -365,7 +359,7 @@ impl Store {
     pub fn spill(&mut self, record: TenantRecord) -> Result<(), StoreError> {
         let tenant = record.tenant.clone();
         let stamp = record.stamp;
-        let encoded = encode_record(&Record::Tenant(record));
+        let encoded = record.encode();
         self.ensure_segment(encoded.len())?;
         let seg = self.segments.last().expect("ensure_segment").clone();
         let offset = self.append_synced(&seg, &encoded)?;
@@ -504,7 +498,7 @@ impl Store {
             }
             match self.load(t) {
                 Ok(r) => {
-                    let encoded = encode_record(&Record::Tenant(r));
+                    let encoded = r.encode();
                     live.push((t.clone(), encoded, stamp));
                 }
                 // Already dropped from the index by load(); skip.
@@ -803,6 +797,20 @@ mod tests {
         for t in s.tenants() {
             assert!(s.load(&t).is_ok());
         }
+    }
+
+    #[test]
+    fn a_manifest_name_longer_than_the_address_space_is_truncated() {
+        // One checksummed segment entry whose name claims 2^64 - 11
+        // bytes: where that name would end lies past u64::MAX.
+        let mut body = 1u64.to_le_bytes().to_vec();
+        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&(u64::MAX - 10).to_le_bytes());
+        body.extend_from_slice(b"seg-0.log");
+        let mut blob = (body.len() as u32).to_le_bytes().to_vec();
+        blob.extend_from_slice(&hds_trace::hash::fnv1a64(&body).to_le_bytes());
+        blob.extend_from_slice(&body);
+        assert_eq!(decode_manifest(&blob), Err(RecordError::Truncated));
     }
 
     #[test]

@@ -91,6 +91,20 @@ pub fn take_bytes<'a>(s: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError
     Ok(head)
 }
 
+/// Takes the next `N` bytes off the front of `s` as an array: a
+/// fixed-width little-endian field such as a frame's length prefix or
+/// checksum.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] when fewer than `N` bytes remain.
+#[inline]
+pub fn take_array<const N: usize>(s: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let (head, rest) = s.split_first_chunk::<N>().ok_or(CodecError::Truncated)?;
+    *s = rest;
+    Ok(*head)
+}
+
 /// Takes a varint written by [`put_varint`] off the front of `s`.
 ///
 /// # Errors
@@ -304,6 +318,14 @@ mod tests {
             assert!(s.is_empty());
         }
         assert_eq!(take_varint(&mut &[][..]), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn arrays_come_off_the_front_whole_or_not_at_all() {
+        let mut s = &[1u8, 2, 3, 4, 5][..];
+        assert_eq!(take_array::<4>(&mut s), Ok([1, 2, 3, 4]));
+        assert_eq!(take_array::<2>(&mut s), Err(CodecError::Truncated));
+        assert_eq!(s, [5]);
     }
 
     #[test]

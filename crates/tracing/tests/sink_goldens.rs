@@ -162,7 +162,7 @@ fn spilling_serve_run_pins_every_sink() {
             manager.handle(Frame::TraceChunk {
                 seq: 0,
                 tenant: l.name.clone(),
-                events: l.chunks[round].clone(),
+                events: l.chunks[round].clone().into(),
             });
             manager.pump();
         }
