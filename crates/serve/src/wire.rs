@@ -25,7 +25,7 @@
 //! a [`FrameError`], never a panic — property-tested in
 //! `tests/wire.rs` against truncation and single-byte corruption.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use hds_backend::BackendKind;
 use hds_store::{decode_record, Record, TenantRecord};
@@ -513,7 +513,9 @@ const MAX_SPARE_BUFFERS: usize = 4;
 
 /// The spare event buffers of one [`FrameBuffer`], shared with the
 /// chunks decoded from it: the thread that drops a chunk (a shard's
-/// pump worker, say) is not always the one that decoded it.
+/// pump worker, say) is not always the one that decoded it. Each update
+/// under the lock is one push or pop, which leaves the list whole, so
+/// its users take it even from a poisoned lock.
 type Spares = Arc<Mutex<Vec<Vec<Event>>>>;
 
 /// The events of a [`Frame::TraceChunk`], read as a `[Event]` slice.
@@ -535,7 +537,7 @@ impl ChunkEvents {
     /// No events yet, in a buffer lent from `home`: one of its spares
     /// when it holds one, else a fresh one that goes back to it.
     fn lent(home: &Spares) -> ChunkEvents {
-        let spare = home.lock().ok().and_then(|mut spares| spares.pop());
+        let spare = home.lock().unwrap_or_else(PoisonError::into_inner).pop();
         ChunkEvents {
             events: spare.unwrap_or_default(),
             home: Some(Arc::clone(home)),
@@ -559,9 +561,7 @@ impl Drop for ChunkEvents {
         if self.events.capacity() > MAX_RESERVED_EVENTS {
             return;
         }
-        let Ok(mut spares) = home.lock() else {
-            return;
-        };
+        let mut spares = home.lock().unwrap_or_else(PoisonError::into_inner);
         if spares.len() < MAX_SPARE_BUFFERS {
             let mut events = std::mem::take(&mut self.events);
             events.clear();
@@ -1939,7 +1939,7 @@ mod tests {
         inbox
             .spares
             .lock()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|v| v.as_ptr())
             .collect()
@@ -2028,6 +2028,23 @@ mod tests {
         drop(from_b);
         assert_eq!(spares(&b).len(), 1);
         assert_ne!(spares(&a), spares(&b));
+    }
+
+    #[test]
+    fn a_poisoned_spare_list_still_lends_and_takes_back() {
+        let mut inbox = FrameBuffer::default();
+        let list = Arc::clone(&inbox.spares);
+        let poisoner = std::thread::spawn(move || {
+            let _held = list.lock().unwrap();
+            panic!("poisons the spare list");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(inbox.spares.is_poisoned());
+        let first = decode_one(&mut inbox, &chunk(100));
+        let ptr = first.as_ptr();
+        drop(first);
+        assert_eq!(spares(&inbox), [ptr]);
+        assert_eq!(decode_one(&mut inbox, &chunk(100)).as_ptr(), ptr);
     }
 
     #[test]
