@@ -504,40 +504,39 @@ pub enum Frame {
 }
 
 /// Most events the decoder reserves room for before reading them, and
-/// the largest buffer a [`FrameBuffer`] takes back for reuse: a
-/// hostile chunk that grew its buffer past this is freed, not kept.
+/// the largest buffer a [`FrameBuffer`] takes back for reuse: a chunk
+/// that grew its buffer past this is freed, not kept. So the spare a
+/// connection keeps is at most 2^16 events (1.5 MiB at 24 bytes each).
 const MAX_RESERVED_EVENTS: usize = 1 << 16;
 
-/// Most spare event buffers one [`FrameBuffer`] keeps.
-const MAX_SPARE_BUFFERS: usize = 4;
-
-/// The spare event buffers of one [`FrameBuffer`], shared with the
+/// The spare event buffer of one [`FrameBuffer`], shared with the
 /// chunks decoded from it: the thread that drops a chunk (a shard's
 /// pump worker, say) is not always the one that decoded it. Each update
-/// under the lock is one push or pop, which leaves the list whole, so
+/// under the lock is one take or put, which leaves the slot whole, so
 /// its users take it even from a poisoned lock.
-type Spares = Arc<Mutex<Vec<Vec<Event>>>>;
+type Spare = Arc<Mutex<Option<Vec<Event>>>>;
 
 /// The events of a [`Frame::TraceChunk`], read as a `[Event]` slice.
 ///
 /// A chunk that [`decode_stream`] decodes is written into a buffer its
 /// [`FrameBuffer`] lends, and dropping the chunk hands the cleared
-/// buffer back, so a connection decodes chunk after chunk into the
-/// same few allocations instead of a fresh one each. Events built from
-/// a `Vec` (`.into()`), decoded by [`Frame::decode`], cloned, or taken
-/// out with [`ChunkEvents::into_vec`] own their buffer outright.
-/// Equality and `Debug` see the events alone.
+/// buffer back, so a connection that applies each chunk before the
+/// next arrives decodes them all into one allocation instead of a
+/// fresh one each. Events built from a `Vec` (`.into()`), decoded by
+/// [`Frame::decode`], cloned, or taken out with
+/// [`ChunkEvents::into_vec`] own their buffer outright. Equality and
+/// `Debug` see the events alone.
 pub struct ChunkEvents {
     events: Vec<Event>,
     /// Where the buffer goes back when the events drop, if it was lent.
-    home: Option<Spares>,
+    home: Option<Spare>,
 }
 
 impl ChunkEvents {
-    /// No events yet, in a buffer lent from `home`: one of its spares
-    /// when it holds one, else a fresh one that goes back to it.
-    fn lent(home: &Spares) -> ChunkEvents {
-        let spare = home.lock().unwrap_or_else(PoisonError::into_inner).pop();
+    /// No events yet, in a buffer lent from `home`: its spare when it
+    /// holds one, else a fresh one that goes back to it.
+    fn lent(home: &Spare) -> ChunkEvents {
+        let spare = home.lock().unwrap_or_else(PoisonError::into_inner).take();
         ChunkEvents {
             events: spare.unwrap_or_default(),
             home: Some(Arc::clone(home)),
@@ -561,11 +560,11 @@ impl Drop for ChunkEvents {
         if self.events.capacity() > MAX_RESERVED_EVENTS {
             return;
         }
-        let mut spares = home.lock().unwrap_or_else(PoisonError::into_inner);
-        if spares.len() < MAX_SPARE_BUFFERS {
+        let mut spare = home.lock().unwrap_or_else(PoisonError::into_inner);
+        if spare.is_none() {
             let mut events = std::mem::take(&mut self.events);
             events.clear();
-            spares.push(events);
+            *spare = Some(events);
         }
     }
 }
@@ -1189,8 +1188,8 @@ const LEN_BYTES: usize = 4;
 
 /// Checks a complete frame's checksum and decodes its body in place.
 /// `sealed` is everything after the length prefix: body and trailer.
-/// A chunk's events go into a buffer lent from `spares`, if given.
-fn open_sealed(sealed: &[u8], spares: Option<&Spares>) -> Result<Frame, FrameError> {
+/// A chunk's events go into a buffer lent from `spare`, if given.
+fn open_sealed(sealed: &[u8], spare: Option<&Spare>) -> Result<Frame, FrameError> {
     // The smallest frame is one kind byte plus the trailer.
     let Some((mut body, trailer)) = sealed
         .split_last_chunk::<CHECKSUM_BYTES>()
@@ -1203,7 +1202,7 @@ fn open_sealed(sealed: &[u8], spares: Option<&Spares>) -> Result<Frame, FrameErr
     if want != got {
         return Err(FrameError::Damaged { want, got });
     }
-    decode_body(&mut body, spares)
+    decode_body(&mut body, spare)
 }
 
 /// Bytes of checksum trailer at the end of every frame, covered by the
@@ -1231,7 +1230,7 @@ fn get_backend_kind(buf: &mut &[u8]) -> Result<Option<BackendKind>, FrameError> 
 }
 
 /// Decodes a frame body (the bytes after the length prefix).
-fn decode_body(buf: &mut &[u8], spares: Option<&Spares>) -> Result<Frame, FrameError> {
+fn decode_body(buf: &mut &[u8], spare: Option<&Spare>) -> Result<Frame, FrameError> {
     let kind = take_u8(buf)?;
     let frame = match kind {
         K_HELLO | K_HELLO_ACK => {
@@ -1268,7 +1267,7 @@ fn decode_body(buf: &mut &[u8], spares: Option<&Spares>) -> Result<Frame, FrameE
             let seq = take_varint(buf)?;
             // Lent before decoding, so a chunk that fails to decode
             // hands its buffer back too.
-            let mut events = spares.map_or_else(|| Vec::new().into(), ChunkEvents::lent);
+            let mut events = spare.map_or_else(|| Vec::new().into(), ChunkEvents::lent);
             get_events(buf, &mut events.events)?;
             Frame::TraceChunk {
                 tenant,
@@ -1381,15 +1380,15 @@ fn decode_body(buf: &mut &[u8], spares: Option<&Spares>) -> Result<Frame, FrameE
 /// in place from the unconsumed bytes. The consumed front is cut off
 /// only once it passes half the buffer, so draining k queued frames
 /// moves each byte at most once, however many frames wait behind the
-/// one taken. It also keeps up to four spare event buffers that the
-/// chunks it decoded handed back (see [`ChunkEvents`]).
+/// one taken. It also keeps the spare event buffer that the chunks it
+/// decoded hand back (see [`ChunkEvents`]).
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     bytes: Vec<u8>,
     /// Bytes at the front already consumed.
     head: usize,
-    /// Event buffers of dropped chunks, lent to the next chunks.
-    spares: Spares,
+    /// The event buffer of a dropped chunk, lent to the next chunk.
+    spare: Spare,
 }
 
 impl FrameBuffer {
@@ -1447,7 +1446,7 @@ pub fn decode_stream(buf: &mut FrameBuffer) -> Result<Option<Frame>, FrameError>
     let Some(sealed) = unconsumed.get(LEN_BYTES..total) else {
         return Ok(None);
     };
-    let frame = open_sealed(sealed, Some(&buf.spares));
+    let frame = open_sealed(sealed, Some(&buf.spare));
     buf.consume(total);
     frame.map(Some)
 }
@@ -1935,14 +1934,14 @@ mod tests {
         events_of(decode_stream(inbox).unwrap().unwrap())
     }
 
-    fn spares(inbox: &FrameBuffer) -> Vec<*const Event> {
+    /// Where the spare buffer of `inbox` starts, if it holds one.
+    fn spare(inbox: &FrameBuffer) -> Option<*const Event> {
         inbox
-            .spares
+            .spare
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .iter()
+            .as_ref()
             .map(|v| v.as_ptr())
-            .collect()
     }
 
     #[test]
@@ -1951,7 +1950,7 @@ mod tests {
         let first = decode_one(&mut inbox, &chunk(4_000));
         let ptr = first.as_ptr();
         drop(first);
-        assert_eq!(spares(&inbox), [ptr]);
+        assert_eq!(spare(&inbox), Some(ptr));
         // A block of the same size taken now would be the freed one,
         // had the buffer gone back to the allocator.
         let decoy: Vec<Event> = Vec::with_capacity(4_000);
@@ -1959,7 +1958,7 @@ mod tests {
         assert_eq!(second.as_ptr(), ptr);
         assert_ne!(decoy.as_ptr(), ptr);
         assert_eq!(second, events_of(chunk(3_000)));
-        assert!(spares(&inbox).is_empty());
+        assert_eq!(spare(&inbox), None);
         // A chunk that fails to decode hands its buffer back too.
         drop(second);
         // Kind, tenant "t", seq 1, one event, an unknown event tag.
@@ -1968,7 +1967,7 @@ mod tests {
             decode_stream(&mut inbox),
             Err(FrameError::BadPayload("unknown event tag"))
         );
-        assert_eq!(spares(&inbox), [ptr]);
+        assert_eq!(spare(&inbox), Some(ptr));
     }
 
     #[test]
@@ -1978,13 +1977,16 @@ mod tests {
         let big = decode_one(&mut inbox, &chunk(over));
         assert!(big.events.capacity() > MAX_RESERVED_EVENTS);
         drop(big);
-        assert!(spares(&inbox).is_empty());
-        drop(decode_one(&mut inbox, &chunk(over - 1)));
-        assert_eq!(spares(&inbox).len(), 1);
+        assert_eq!(spare(&inbox), None);
+        let most = decode_one(&mut inbox, &chunk(over - 1));
+        assert_eq!(most.events.capacity(), MAX_RESERVED_EVENTS);
+        let ptr = most.as_ptr();
+        drop(most);
+        assert_eq!(spare(&inbox), Some(ptr));
     }
 
     #[test]
-    fn at_most_four_buffers_are_kept_wherever_chunks_drop() {
+    fn one_buffer_is_kept_wherever_chunks_drop() {
         let mut inbox = FrameBuffer::default();
         for _ in 0..10 {
             inbox.extend_from_slice(&chunk(100).encode());
@@ -1993,57 +1995,62 @@ mod tests {
             .map(events_of)
             .collect();
         assert_eq!(held.len(), 10);
-        // Shard pump workers drop the chunks they fed.
+        let first = held[0].as_ptr();
+        // Shard pump workers drop the chunks they fed, first to last:
+        // the first fills the spare slot and the other nine are freed.
         std::thread::spawn(move || drop(held)).join().unwrap();
-        assert_eq!(spares(&inbox).len(), MAX_SPARE_BUFFERS);
+        assert_eq!(spare(&inbox), Some(first));
+        assert_eq!(decode_one(&mut inbox, &chunk(100)).as_ptr(), first);
     }
 
     #[test]
-    fn decode_clone_and_into_vec_leave_the_spares_alone() {
+    fn decode_clone_and_into_vec_leave_the_spare_alone() {
         let mut inbox = FrameBuffer::default();
         drop(decode_one(&mut inbox, &chunk(100)));
-        let kept = spares(&inbox);
-        assert_eq!(kept.len(), 1);
+        let kept = spare(&inbox);
+        assert!(kept.is_some());
         drop(events_of(Frame::decode(&chunk(100).encode()).unwrap()));
-        assert_eq!(spares(&inbox), kept);
+        assert_eq!(spare(&inbox), kept);
 
         let lent = decode_one(&mut inbox, &chunk(100));
-        assert_eq!(lent.as_ptr(), kept[0]);
+        assert_eq!(Some(lent.as_ptr()), kept);
         drop(lent.clone());
-        assert!(spares(&inbox).is_empty());
+        assert_eq!(spare(&inbox), None);
         let owned = lent.into_vec();
-        assert_eq!(owned.as_ptr(), kept[0]);
-        assert!(spares(&inbox).is_empty());
+        assert_eq!(Some(owned.as_ptr()), kept);
+        assert_eq!(spare(&inbox), None);
         drop(ChunkEvents::from(owned));
-        assert!(spares(&inbox).is_empty());
+        assert_eq!(spare(&inbox), None);
     }
 
     #[test]
     fn frame_buffers_never_share_a_buffer() {
         let (mut a, mut b) = (FrameBuffer::default(), FrameBuffer::default());
         drop(decode_one(&mut a, &chunk(100)));
+        let from_a = spare(&a);
         let from_b = decode_one(&mut b, &chunk(100));
-        assert_eq!(spares(&a).len(), 1);
-        assert_ne!(from_b.as_ptr(), spares(&a)[0]);
+        assert!(from_a.is_some());
+        assert_ne!(Some(from_b.as_ptr()), from_a);
         drop(from_b);
-        assert_eq!(spares(&b).len(), 1);
-        assert_ne!(spares(&a), spares(&b));
+        assert_eq!(spare(&a), from_a);
+        assert!(spare(&b).is_some());
+        assert_ne!(spare(&a), spare(&b));
     }
 
     #[test]
-    fn a_poisoned_spare_list_still_lends_and_takes_back() {
+    fn a_poisoned_spare_slot_still_lends_and_takes_back() {
         let mut inbox = FrameBuffer::default();
-        let list = Arc::clone(&inbox.spares);
+        let slot = Arc::clone(&inbox.spare);
         let poisoner = std::thread::spawn(move || {
-            let _held = list.lock().unwrap();
-            panic!("poisons the spare list");
+            let _held = slot.lock().unwrap();
+            panic!("poisons the spare slot");
         });
         assert!(poisoner.join().is_err());
-        assert!(inbox.spares.is_poisoned());
+        assert!(inbox.spare.is_poisoned());
         let first = decode_one(&mut inbox, &chunk(100));
         let ptr = first.as_ptr();
         drop(first);
-        assert_eq!(spares(&inbox), [ptr]);
+        assert_eq!(spare(&inbox), Some(ptr));
         assert_eq!(decode_one(&mut inbox, &chunk(100)).as_ptr(), ptr);
     }
 
