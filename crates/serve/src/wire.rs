@@ -1980,6 +1980,8 @@ mod tests {
         assert_eq!(spare(&inbox), None);
         let most = decode_one(&mut inbox, &chunk(over - 1));
         assert_eq!(most.events.capacity(), MAX_RESERVED_EVENTS);
+        // The most a connection keeps: 1.5 MiB.
+        assert_eq!(MAX_RESERVED_EVENTS * std::mem::size_of::<Event>(), 3 << 19);
         let ptr = most.as_ptr();
         drop(most);
         assert_eq!(spare(&inbox), Some(ptr));
